@@ -14,6 +14,7 @@ from .errors import (
     EmptyMeasurementRegion,
     FrequencyAboveNyquist,
     InvalidOrder,
+    InvalidParameter,
     InvalidSampleRate,
     InvalidValue,
     InvalidWindow,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BufferTooShort, EmptyMeasurementRegion
+from .errors import BufferTooShort, EmptyMeasurementRegion, InvalidParameter
 from .signal_core import SignalBuffer
 
 #: dB value substituted for zero-power bins so output stays finite.
@@ -25,7 +25,7 @@ class Spectrum:
         freqs = np.asarray(self.freqs, dtype=np.float64)
         power = np.asarray(self.power_db, dtype=np.float64)
         if freqs.shape != power.shape:
-            raise ValueError("freqs and power_db must align")
+            raise InvalidParameter("freqs and power_db must align")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "power_db", power)
 
@@ -58,7 +58,7 @@ def power_spectrum(signal: SignalBuffer) -> Spectrum:
 def rms(signal: SignalBuffer, skip_fraction: float = 0.0) -> float:
     """Root mean square after discarding the leading `skip_fraction`."""
     if not 0.0 <= skip_fraction < 1.0:
-        raise ValueError(f"skip_fraction must lie in [0, 1), got {skip_fraction!r}")
+        raise InvalidParameter(f"skip_fraction must lie in [0, 1), got {skip_fraction!r}")
     start = int(skip_fraction * len(signal))
     tail = signal.samples[start:]
     if tail.size == 0:

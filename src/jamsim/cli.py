@@ -9,7 +9,9 @@ Commands::
 
 `run` writes jammer1/jammer2/trigger1/trigger2 time series, the input
 spectrum and a JSON manifest into DIR, atomically: the directory is
-either complete or untouched.  Exit codes: 0 ok, 1 usage error, 2
+either complete or untouched.  An existing DIR is replaced only if it is
+empty or holds a jamsim manifest.json.  Exit codes: 0 ok, 1 usage error
+(including any invalid setting, with its line for a scenario file), 2
 simulation error.  The JAMSIM_SEED environment variable overrides the
 default seed; an explicit [sim] seed or --seed flag wins over it.
 """
@@ -17,6 +19,7 @@ default seed; an explicit [sim] seed or --seed flag wins over it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -29,19 +32,18 @@ import numpy as np
 
 from . import __version__
 from .analysis import power_spectrum
-from .errors import JamSimError, ParseError
+from .errors import InvalidParameter, JamSimError, ParseError
 from .filterbank import FilterBank, frequency_response
 from .pipeline import (
-    DEFAULT_SEED,
     PipelineConfig,
     Scenario,
     ScenarioReport,
     build_pipeline,
     builtin_scenarios,
-    default_pipeline_config,
     run_scenario,
 )
-from .scenario_io import apply_seed, parse_scenario_file, write_spectrum_csv, write_timeseries_csv
+from .scenario_io import parse_scenario_file, write_spectrum_csv, write_timeseries_csv
+from .signal_core import DEFAULT_SAMPLE_RATE, DEFAULT_SEED
 
 SEED_ENV_VAR = "JAMSIM_SEED"
 #: Timestamp placeholder written under --reproducible.
@@ -107,7 +109,7 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
         if not 1 <= args.builtin <= len(builtins):
             raise _UsageError(f"--builtin must be in 1..{len(builtins)}")
         scenario = builtins[args.builtin - 1]
-        config = default_pipeline_config(seed=ambient)
+        config = PipelineConfig(seed=ambient)
     else:
         try:
             with open(args.scenario, "r", encoding="utf-8") as fh:
@@ -115,13 +117,8 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
         except OSError as exc:
             raise _UsageError(f"cannot read scenario file: {exc}") from None
         scenario, config = parse_scenario_file(text, default_seed=ambient)
-    if args.seed is not None:
-        config = apply_seed(config, args.seed)
-    if args.fs is not None:
-        config = replace(config, sample_rate=args.fs)
-    if args.samples is not None:
-        config = replace(config, n_samples=args.samples)
-    return scenario, config
+    flags = {"seed": args.seed, "sample_rate": args.fs, "n_samples": args.samples}
+    return scenario, replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport,
@@ -140,7 +137,7 @@ def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport
         "tool": "jamsim",
         "version": __version__,
         "created_at": created,
-        "seed": config.jammer3.noise.seed,
+        "seed": config.seed,
         "scenario": {
             "name": scenario.name,
             "tones": [
@@ -174,48 +171,68 @@ def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport
     }
 
 
-def _write_run_dir(out_dir: str, report: ScenarioReport, manifest: dict) -> None:
-    """Populate a temp directory, then swap it in; never leave a partial DIR."""
-    out_dir = os.path.abspath(out_dir)
-    parent = os.path.dirname(out_dir) or "."
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=parent)
+def _is_jamsim_output(path: str) -> bool:
+    """True if `path` is a directory that is empty or holds a jamsim manifest."""
     try:
-        write_timeseries_csv(report.branch_buffers["jammer1"],
-                             os.path.join(tmp, _RUN_OUTPUTS["jammer1"]))
-        write_timeseries_csv(report.branch_buffers["jammer2"],
-                             os.path.join(tmp, _RUN_OUTPUTS["jammer2"]))
-        write_timeseries_csv(report.gates["trigger1"].to_buffer(),
-                             os.path.join(tmp, _RUN_OUTPUTS["trigger1"]))
-        write_timeseries_csv(report.gates["trigger2"].to_buffer(),
-                             os.path.join(tmp, _RUN_OUTPUTS["trigger2"]))
-        write_spectrum_csv(power_spectrum(report.branch_buffers["input"]),
-                           os.path.join(tmp, _RUN_OUTPUTS["input_spectrum"]))
-        with open(os.path.join(tmp, _RUN_OUTPUTS["manifest"]), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except BaseException:
+        if not os.listdir(path):
+            return True
+        with open(os.path.join(path, _RUN_OUTPUTS["manifest"]), "r", encoding="utf-8") as fh:
+            return json.load(fh).get("tool") == "jamsim"
+    except (OSError, ValueError, AttributeError):  # AttributeError: JSON but not an object
+        return False
+
+
+@contextlib.contextmanager
+def _atomic_output(target: str):
+    """Yield a path to write a file or directory at; on success, move it onto `target`.
+
+    A replaced directory is moved aside until the new one is in place.
+    """
+    target = os.path.abspath(target)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=os.path.dirname(target))
+    staged = os.path.join(tmp, "new")
+    try:
+        yield staged
+        if os.path.isdir(staged) and os.path.lexists(target):
+            old = os.path.join(tmp, "old")
+            os.rename(target, old)
+            try:
+                os.rename(staged, target)
+            except OSError:
+                os.rename(old, target)
+                raise
+        else:
+            os.replace(staged, target)
+    finally:
         shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    if os.path.isdir(out_dir):
-        shutil.rmtree(out_dir)
-    elif os.path.exists(out_dir):
-        os.remove(out_dir)
-    os.rename(tmp, out_dir)
 
 
 def _cmd_run(args) -> int:
-    scenario, config = _resolve_run(args)
-    pipeline = build_pipeline(config)
-    report = run_scenario(pipeline, scenario)
+    try:
+        scenario, config = _resolve_run(args)
+    except InvalidParameter as exc:
+        raise _UsageError(str(exc)) from None
+    if os.path.lexists(args.out) and not _is_jamsim_output(args.out):
+        raise _UsageError(f"--out {args.out} exists and is not a jamsim output directory; "
+                          "refusing to replace it")
+    report = run_scenario(build_pipeline(config), scenario)
     manifest = _manifest(scenario, config, report, args.reproducible)
-    _write_run_dir(args.out, report, manifest)
-    verdict = ", ".join(
-        f"{band}: {'JAMMING' if active else 'idle'}"
-        for band, active in (("band3", report.verdicts["band3"]),
-                             ("band40", report.verdicts["band40"]))
-    )
-    print(verdict)
+    with _atomic_output(args.out) as out_dir:
+        os.mkdir(out_dir)
+        for name in ("jammer1", "jammer2"):
+            write_timeseries_csv(report.branch_buffers[name],
+                                 os.path.join(out_dir, _RUN_OUTPUTS[name]))
+        for name in ("trigger1", "trigger2"):
+            write_timeseries_csv(report.gates[name].to_buffer(),
+                                 os.path.join(out_dir, _RUN_OUTPUTS[name]))
+        write_spectrum_csv(power_spectrum(report.branch_buffers["input"]),
+                           os.path.join(out_dir, _RUN_OUTPUTS["input_spectrum"]))
+        with open(os.path.join(out_dir, _RUN_OUTPUTS["manifest"]), "w",
+                  encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(", ".join(f"{band}: {'JAMMING' if report.verdicts[band] else 'idle'}"
+                    for band in ("band3", "band40")))
     return 0
 
 
@@ -229,22 +246,13 @@ def _cmd_scenarios() -> int:
 def _cmd_response(args) -> int:
     if not 1 <= args.filter <= 4:
         raise _UsageError("--filter must be in 1..4")
-    bank = FilterBank.design(default_pipeline_config().sample_rate)
-    stages = bank.by_id(args.filter)
+    stages = FilterBank.design(DEFAULT_SAMPLE_RATE).by_id(args.filter)
     freqs = np.linspace(0.0, stages.sample_rate / 2.0, 2049)
     mag_db, phase = frequency_response(stages, freqs)
-    out = os.path.abspath(args.out)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".jamsim-", dir=os.path.dirname(out) or ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("freq_hz,magnitude_db,phase_rad\n")
-            for f, m, p in zip(freqs, mag_db, phase):
-                fh.write(f"{f:.8e},{m:.8e},{p:.8e}\n")
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    os.replace(tmp, out)
+    with _atomic_output(args.out) as path, open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("freq_hz,magnitude_db,phase_rad\n")
+        for f, m, p in zip(freqs, mag_db, phase):
+            fh.write(f"{f:.8e},{m:.8e},{p:.8e}\n")
     return 0
 
 

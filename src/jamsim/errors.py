@@ -5,7 +5,15 @@ class JamSimError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidSampleRate(JamSimError):
+class InvalidParameter(JamSimError, ValueError):
+    """A value is out of range; `fields` names the settings the check read, if any."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
+class InvalidSampleRate(InvalidParameter):
     """Sample rate must be a positive, finite number of samples/second."""
 
 
@@ -25,15 +33,15 @@ class BandAboveNyquist(JamSimError):
     """A filter passband edge was at or above half the sample rate."""
 
 
-class InvalidOrder(JamSimError):
+class InvalidOrder(InvalidParameter):
     """Bandpass order must be an even integer >= 2."""
 
 
-class DesignUnstable(JamSimError):
+class DesignUnstable(JamSimError, ValueError):
     """Filter synthesis produced an unstable or degenerate section cascade."""
 
 
-class InvalidWindow(JamSimError):
+class InvalidWindow(InvalidParameter):
     """Envelope window must cover at least one sample."""
 
 

@@ -22,9 +22,10 @@ from .errors import (
     DesignUnstable,
     FrequencyAboveNyquist,
     InvalidOrder,
+    InvalidParameter,
     SampleRateMismatch,
 )
-from .signal_core import SignalBuffer
+from .signal_core import SignalBuffer, check_sample_rate
 
 DEFAULT_FILTER_ORDER = 6
 
@@ -40,12 +41,11 @@ class FilterSpec:
 
     def __post_init__(self):
         if self.band_low >= self.band_high:
-            raise ValueError(
-                f"band_low must be below band_high, got {self.band_low}..{self.band_high} MHz"
-            )
+            raise InvalidParameter(
+                f"band_low must be below band_high, got {self.band_low}..{self.band_high} MHz")
         midpoint = (self.band_low + self.band_high) / 2.0
         if abs(self.center - midpoint) > 1e-6 * midpoint:
-            raise ValueError(f"center {self.center} MHz is not the band midpoint {midpoint} MHz")
+            raise InvalidParameter(f"center {self.center} MHz is not the midpoint {midpoint} MHz")
 
 
 #: The four detection bands.  Rows 2/3 are the Band 3 FDD uplink and
@@ -117,6 +117,12 @@ def _pair_into_sections(z_poles: np.ndarray) -> list[tuple[float, float]]:
     return pairs
 
 
+def check_filter_order(order: int) -> None:
+    """InvalidOrder unless `order` is an even integer >= 2."""
+    if order < 2 or order % 2 != 0:
+        raise InvalidOrder(f"filter order must be even and >= 2, got {order!r}", "filter_order")
+
+
 def design_bandpass(spec: FilterSpec, sample_rate: float,
                     order: int = DEFAULT_FILTER_ORDER) -> FilterStages:
     """Synthesize one band-plan bandpass as `order/2` biquads.
@@ -125,8 +131,8 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     filter is three sections from a 3rd-order prototype), so it must
     be even.
     """
-    if order < 2 or order % 2 != 0:
-        raise InvalidOrder(f"bandpass order must be an even integer >= 2, got {order}")
+    check_filter_order(order)
+    check_sample_rate(sample_rate)
     f_low = spec.band_low * 1e6
     f_high = spec.band_high * 1e6
     if f_high >= sample_rate / 2.0:
@@ -209,11 +215,11 @@ class FilterBank:
     def __post_init__(self):
         ids = tuple(f.spec.id for f in self.filters)
         if ids != (1, 2, 3, 4):
-            raise ValueError(f"filter bank must hold exactly filters 1..4, got ids {ids}")
+            raise InvalidParameter(f"filter bank must hold exactly filters 1..4, got ids {ids}")
         expected = tuple((s.band_low, s.band_high) for s in BAND_FILTER_SPECS)
         actual = tuple((f.spec.band_low, f.spec.band_high) for f in self.filters)
         if actual != expected:
-            raise ValueError(f"filter bank passbands {actual} differ from {expected}")
+            raise InvalidParameter(f"filter bank passbands {actual} differ from {expected}")
 
     @classmethod
     def design(cls, sample_rate: float, order: int = DEFAULT_FILTER_ORDER) -> "FilterBank":

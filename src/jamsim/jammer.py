@@ -8,21 +8,16 @@ gate stay sample-for-sample comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, SampleRateMismatch
-from .signal_core import NoiseSpec, SignalBuffer, gaussian_noise, rayleigh_noise
+from .errors import InvalidParameter, LengthMismatch, SampleRateMismatch
+from .signal_core import DEFAULT_SEED, NoiseSpec, SignalBuffer, gaussian_noise, rayleigh_noise
 from .trigger import GateLine
 
 DEFAULT_GAIN = 5.0
 DEFAULT_NOISE_SIGMA = 1.0
-
-
-def _default_noise() -> NoiseSpec:
-    return NoiseSpec(gaussian_sigma=DEFAULT_NOISE_SIGMA,
-                     rayleigh_sigma=DEFAULT_NOISE_SIGMA, seed=42)
 
 
 @dataclass(frozen=True)
@@ -30,13 +25,13 @@ class JammerConfig:
     """Amplifier gain and the injected-noise description."""
 
     gain: float = DEFAULT_GAIN
-    noise: NoiseSpec = field(default_factory=_default_noise)
+    noise: NoiseSpec = NoiseSpec(DEFAULT_NOISE_SIGMA, DEFAULT_NOISE_SIGMA, DEFAULT_SEED)
 
     def __post_init__(self):
         # gain >= 1 so the stage never attenuates; gain == 1 is the
         # degenerate identity configuration used for calibration.
         if not np.isfinite(self.gain) or self.gain < 1.0:
-            raise ValueError(f"jammer gain must be >= 1, got {self.gain!r}")
+            raise InvalidParameter(f"jammer gain must be >= 1, got {self.gain!r}", "gain")
 
 
 def jam(signal: SignalBuffer, gate: GateLine, config: JammerConfig) -> SignalBuffer:

@@ -11,64 +11,73 @@ feed-forward, so this matches sample-interleaved execution exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
 from .analysis import rms
-from .filterbank import DEFAULT_FILTER_ORDER, FilterBank, apply_filter
-from .jammer import DEFAULT_NOISE_SIGMA, JammerConfig, jam
+from .errors import InvalidParameter
+from .filterbank import DEFAULT_FILTER_ORDER, FilterBank, apply_filter, check_filter_order
+from .jammer import DEFAULT_GAIN, DEFAULT_NOISE_SIGMA, JammerConfig, jam
 from .signal_core import (
     DEFAULT_N_SAMPLES,
     DEFAULT_SAMPLE_RATE,
+    DEFAULT_SEED,
     DEFAULT_TONE_AMPLITUDE,
     NoiseSpec,
     SignalBuffer,
     ToneSpec,
+    check_sample_rate,
     multi_tone,
 )
 from .trigger import GateLine, TriggerConfig, trigger_chain
 
-DEFAULT_SEED = 42
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of a run: rates, filter order, stage configs."""
+    """Every knob of a run: rates, filter order, trigger and jammer settings.
+
+    Both jammers share one gain and noise level; their noise seeds are
+    seed (`jammer3`, Band 3) and seed+1 (`jammer40`, Band 40).
+    """
 
     sample_rate: float = DEFAULT_SAMPLE_RATE
     n_samples: int = DEFAULT_N_SAMPLES
     filter_order: int = DEFAULT_FILTER_ORDER
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
-    jammer3: JammerConfig = field(default_factory=JammerConfig)
-    jammer40: JammerConfig = field(
-        default_factory=lambda: JammerConfig(noise=NoiseSpec(
-            gaussian_sigma=DEFAULT_NOISE_SIGMA, rayleigh_sigma=DEFAULT_NOISE_SIGMA,
-            seed=DEFAULT_SEED + 1))
-    )
+    seed: int = DEFAULT_SEED
+    gain: float = DEFAULT_GAIN
+    gaussian_sigma: float = DEFAULT_NOISE_SIGMA
+    rayleigh_sigma: float = DEFAULT_NOISE_SIGMA
     measure_skip_fraction: float = 0.25
 
     def __post_init__(self):
+        check_sample_rate(self.sample_rate)
+        check_filter_order(self.filter_order)
         if self.n_samples <= 0:
-            raise ValueError("n_samples must be > 0")
+            raise InvalidParameter(f"n_samples must be > 0, got {self.n_samples!r}", "n_samples")
         if not 0.0 <= self.measure_skip_fraction < 1.0:
-            raise ValueError("measure_skip_fraction must lie in [0, 1)")
+            raise InvalidParameter("measure_skip_fraction must lie in [0, 1)")
+        self._jammer(self.seed)  # checks gain, both sigmas and seed
+
+    def _jammer(self, seed: int) -> JammerConfig:
+        return JammerConfig(self.gain, NoiseSpec(self.gaussian_sigma, self.rayleigh_sigma, seed))
+
+    @property
+    def jammer3(self) -> JammerConfig:
+        """The Band 3 jammer: the shared settings, noise seed `seed`."""
+        return self._jammer(self.seed)
+
+    @property
+    def jammer40(self) -> JammerConfig:
+        """The Band 40 jammer: the shared settings, the next noise seed."""
+        return self._jammer(self.seed + 1)
 
 
 def default_pipeline_config(seed: int = DEFAULT_SEED, **overrides: Any) -> PipelineConfig:
-    """Default config with both jammers' noise streams derived from `seed`.
-
-    The Band 40 jammer takes seed+1 so the two transmitters never emit
-    identical noise.
-    """
-    base = PipelineConfig(
-        jammer3=JammerConfig(noise=NoiseSpec(
-            gaussian_sigma=DEFAULT_NOISE_SIGMA, rayleigh_sigma=DEFAULT_NOISE_SIGMA, seed=seed)),
-        jammer40=JammerConfig(noise=NoiseSpec(
-            gaussian_sigma=DEFAULT_NOISE_SIGMA, rayleigh_sigma=DEFAULT_NOISE_SIGMA, seed=seed + 1)),
-    )
-    return replace(base, **overrides) if overrides else base
+    """Default config with noise seed `seed` (the Band 40 jammer takes seed+1)."""
+    return PipelineConfig(seed=seed, **overrides)
 
 
 @dataclass(frozen=True)
@@ -77,11 +86,10 @@ class Scenario:
 
     name: str
     tones: tuple[ToneSpec, ...]
-    overrides: Mapping[str, Any] | None = None
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("scenario name must be non-empty")
+            raise InvalidParameter("scenario name must be non-empty")
         object.__setattr__(self, "tones", tuple(self.tones))
 
 
@@ -107,13 +115,16 @@ class Pipeline:
     config: PipelineConfig
     filters: FilterBank
     trigger_config: TriggerConfig
+    jammer3: JammerConfig
+    jammer40: JammerConfig
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
-    """Design all four filters and resolve the trigger window."""
+    """Design all four filters; resolve the trigger window and both jammers."""
     bank = FilterBank.design(config.sample_rate, config.filter_order)
     return Pipeline(config=config, filters=bank,
-                    trigger_config=config.trigger.resolved(config.sample_rate))
+                    trigger_config=config.trigger.resolved(config.sample_rate),
+                    jammer3=config.jammer3, jammer40=config.jammer40)
 
 
 def _settle(gate: GateLine, skip_fraction: float) -> tuple[float, bool]:
@@ -130,8 +141,6 @@ def _settle(gate: GateLine, skip_fraction: float) -> tuple[float, bool]:
 
 def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     """Render the input, run every branch, measure the settled outcome."""
-    if scenario.overrides:
-        pipeline = build_pipeline(replace(pipeline.config, **dict(scenario.overrides)))
     cfg = pipeline.config
 
     source = multi_tone(scenario.tones, cfg.sample_rate, cfg.n_samples)
@@ -142,8 +151,8 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
 
     gate1 = trigger_chain(band3_uplink, pipeline.trigger_config)
     gate2 = trigger_chain(band40, pipeline.trigger_config)
-    jam1 = jam(band3_downlink, gate1, cfg.jammer3)
-    jam2 = jam(band40, gate2, cfg.jammer40)
+    jam1 = jam(band3_downlink, gate1, pipeline.jammer3)
+    jam2 = jam(band40, gate2, pipeline.jammer40)
 
     skip = cfg.measure_skip_fraction
     level1, stable1 = _settle(gate1, skip)

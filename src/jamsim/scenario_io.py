@@ -27,28 +27,31 @@ A scenario file is a line-based key = value document::
     envelope_window = 6
 
 Blank lines and ``#`` comments are ignored.  Unknown sections or keys
-fail fast with the offending line number.  The single [sim] seed feeds
-the Band 3 jammer; the Band 40 jammer takes seed+1.
+and out-of-range values fail fast with the offending key's line number.
+The [sim] seed feeds the Band 3 jammer; the Band 40 jammer takes seed+1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from contextlib import contextmanager
 
 from .analysis import Spectrum
-from .errors import InvalidValue, ParseError, UnknownKey
-from .jammer import JammerConfig
-from .pipeline import DEFAULT_SEED, PipelineConfig, Scenario, default_pipeline_config
-from .signal_core import DEFAULT_TONE_AMPLITUDE, NoiseSpec, SignalBuffer, ToneSpec
+from .errors import InvalidParameter, InvalidValue, ParseError, UnknownKey
+from .pipeline import PipelineConfig, Scenario
+from .signal_core import DEFAULT_SEED, SignalBuffer, ToneSpec
 from .trigger import TriggerConfig
 
+#: Each section's keys and the ToneSpec/PipelineConfig/TriggerConfig field each sets.
 _SECTION_KEYS = {
-    "scenario": {"name"},
-    "tones": {"freq_mhz", "amplitude_v", "phase_rad"},
-    "sim": {"sample_rate_hz", "n_samples", "seed", "filter_order"},
-    "jammer": {"gain", "gaussian_sigma_v", "rayleigh_sigma_v"},
-    "trigger": {"threshold_v", "high_v", "envelope_window"},
+    "scenario": {"name": "name"},
+    "tones": {"freq_mhz": "frequency", "amplitude_v": "amplitude", "phase_rad": "phase"},
+    "sim": {"sample_rate_hz": "sample_rate", "n_samples": "n_samples", "seed": "seed",
+            "filter_order": "filter_order"},
+    "jammer": {"gain": "gain", "gaussian_sigma_v": "gaussian_sigma",
+               "rayleigh_sigma_v": "rayleigh_sigma"},
+    "trigger": {"threshold_v": "threshold", "high_v": "high_level",
+                "envelope_window": "envelope_window"},
 }
 _INT_KEYS = {"n_samples", "seed", "filter_order", "envelope_window"}
 
@@ -65,12 +68,25 @@ def _parse_number(key: str, value: str, line: int) -> float | int:
     return out
 
 
+@contextmanager
+def _blame(lines: dict[str, int]):
+    """Re-raise an InvalidParameter at the last line that set a field it names."""
+    try:
+        yield
+    except InvalidParameter as exc:
+        hit = [lines[f] for f in exc.fields if f in lines]
+        if not hit:
+            raise
+        raise InvalidValue(str(exc), max(hit)) from None
+
+
 def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
                         ) -> tuple[Scenario, PipelineConfig]:
     """Parse a scenario document into a fully resolved (Scenario, PipelineConfig)."""
     name = "scenario"
     tones: list[dict[str, float]] = []
-    values: dict[str, dict[str, float | int]] = {"sim": {}, "jammer": {}, "trigger": {}}
+    settings: dict[str, dict[str, float | int]] = {"sim": {}, "jammer": {}, "trigger": {}}
+    lines: dict[str, int] = {}  # field -> line that last set it
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -91,103 +107,48 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
             raise UnknownKey(f"unknown key {key!r} in section [{section}]", lineno)
         if not value:
             raise InvalidValue(f"empty value for {key!r}", lineno)
-
         if section == "scenario":
             name = value
-        elif section == "tones":
-            if key == "freq_mhz":
-                tones.append({"freq_mhz": _parse_number(key, value, lineno)})
-            else:
-                if not tones:
-                    raise ParseError(f"{key} appears before any freq_mhz", lineno)
-                if key in tones[-1]:
-                    raise InvalidValue(f"duplicate {key} for the same tone", lineno)
-                tones[-1][key] = _parse_number(key, value, lineno)
-        else:
-            if key in values[section]:
-                raise InvalidValue(f"duplicate key {key!r}", lineno)
-            values[section][key] = _parse_number(key, value, lineno)
+            continue
 
-    sim = values["sim"]
-    jam_kv = values["jammer"]
-    trig = values["trigger"]
+        if section == "tones" and key == "freq_mhz":
+            tones.append({})
+        elif section == "tones" and not tones:
+            raise ParseError(f"{key} appears before any freq_mhz", lineno)
+        target = tones[-1] if section == "tones" else settings[section]
+        field = _SECTION_KEYS[section][key]
+        if field in target:
+            raise InvalidValue(f"duplicate key {key!r}", lineno)
+        number = _parse_number(key, value, lineno)
+        target[field] = number * 1e6 if key == "freq_mhz" else number
+        lines[field] = lineno
+        if section == "tones":  # checked now: the next tone reuses these line slots
+            with _blame(lines):
+                ToneSpec(**target)
 
-    seed = int(sim.get("seed", default_seed))
-    config = default_pipeline_config(
-        seed=seed,
-        sample_rate=float(sim.get("sample_rate_hz", default_pipeline_config().sample_rate)),
-        n_samples=int(sim.get("n_samples", default_pipeline_config().n_samples)),
-        filter_order=int(sim.get("filter_order", default_pipeline_config().filter_order)),
-    )
-    if trig:
-        base = TriggerConfig()
-        window = trig.get("envelope_window")
-        config = replace(config, trigger=TriggerConfig(
-            threshold=float(trig.get("threshold_v", base.threshold)),
-            high_level=float(trig.get("high_v", base.high_level)),
-            envelope_window=int(window) if window is not None else None,
-        ))
-    if jam_kv:
-        base_jam = JammerConfig()
-        gain = float(jam_kv.get("gain", base_jam.gain))
-        g_sigma = float(jam_kv.get("gaussian_sigma_v", base_jam.noise.gaussian_sigma))
-        r_sigma = float(jam_kv.get("rayleigh_sigma_v", base_jam.noise.rayleigh_sigma))
-        config = replace(
-            config,
-            jammer3=JammerConfig(gain=gain, noise=NoiseSpec(g_sigma, r_sigma, seed)),
-            jammer40=JammerConfig(gain=gain, noise=NoiseSpec(g_sigma, r_sigma, seed + 1)),
-        )
-
-    scenario = Scenario(name=name, tones=tuple(
-        ToneSpec(
-            frequency=t["freq_mhz"] * 1e6,
-            amplitude=t.get("amplitude_v", DEFAULT_TONE_AMPLITUDE),
-            phase=t.get("phase_rad", 0.0),
-        )
-        for t in tones
-    ))
-    return scenario, config
-
-
-def apply_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
-    """Re-key both jammers' noise streams from `seed` (and seed+1)."""
-    return replace(
-        config,
-        jammer3=replace(config.jammer3, noise=replace(config.jammer3.noise, seed=seed)),
-        jammer40=replace(config.jammer40, noise=replace(config.jammer40.noise, seed=seed + 1)),
-    )
+    with _blame(lines):
+        config = PipelineConfig(**{"seed": default_seed, **settings["sim"], **settings["jammer"]},
+                                trigger=TriggerConfig(**settings["trigger"]))
+    return Scenario(name=name, tones=tuple(ToneSpec(**t) for t in tones)), config
 
 
 def render_scenario_file(scenario: Scenario, config: PipelineConfig) -> str:
     """Serialize back to the file format (inverse of parse_scenario_file).
 
-    Only configs expressible in the format round-trip: one shared
-    jammer gain/sigma pair with the Band 40 seed at seed+1.
+    Every setting round-trips but `measure_skip_fraction`, which the
+    format does not carry.
     """
     lines = ["[scenario]", f"name = {scenario.name}", "", "[tones]"]
     for tone in scenario.tones:
         lines.append(f"freq_mhz = {tone.frequency / 1e6!r}")
         lines.append(f"amplitude_v = {tone.amplitude!r}")
         lines.append(f"phase_rad = {tone.phase!r}")
-    lines += [
-        "",
-        "[sim]",
-        f"sample_rate_hz = {config.sample_rate!r}",
-        f"n_samples = {config.n_samples}",
-        f"seed = {config.jammer3.noise.seed}",
-        f"filter_order = {config.filter_order}",
-        "",
-        "[jammer]",
-        f"gain = {config.jammer3.gain!r}",
-        f"gaussian_sigma_v = {config.jammer3.noise.gaussian_sigma!r}",
-        f"rayleigh_sigma_v = {config.jammer3.noise.rayleigh_sigma!r}",
-        "",
-        "[trigger]",
-        f"threshold_v = {config.trigger.threshold!r}",
-        f"high_v = {config.trigger.high_level!r}",
-    ]
-    if config.trigger.envelope_window is not None:
-        lines.append(f"envelope_window = {config.trigger.envelope_window}")
+    for section in ("sim", "jammer", "trigger"):
+        lines += ["", f"[{section}]"]
+        source = config.trigger if section == "trigger" else config
+        for key, field in _SECTION_KEYS[section].items():
+            if getattr(source, field) is not None:
+                lines.append(f"{key} = {getattr(source, field)!r}")
     return "\n".join(lines) + "\n"
 
 

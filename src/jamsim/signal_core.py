@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import FrequencyAboveNyquist, InvalidSampleRate, LengthMismatch, SampleRateMismatch
+from .errors import (FrequencyAboveNyquist, InvalidParameter, InvalidSampleRate, LengthMismatch,
+                     SampleRateMismatch)
 
 #: Simulation defaults: 10 GS/s comfortably clears twice the highest
 #: tone of interest (3 GHz), and 4096 samples span 409.6 ns.
@@ -22,6 +23,17 @@ DEFAULT_N_SAMPLES = 4096
 #: A 2 V in-band tone keeps the rectified, filtered wave above the 1 V
 #: trigger threshold with margin under unity passband gain.
 DEFAULT_TONE_AMPLITUDE = 2.0
+#: Noise seed of a run that names none (the Band 3 jammer's stream).
+DEFAULT_SEED = 42
+
+
+def check_sample_rate(sample_rate: float) -> float:
+    """`sample_rate` as a float; InvalidSampleRate unless finite and > 0."""
+    rate = float(sample_rate)
+    if not np.isfinite(rate) or rate <= 0.0:
+        raise InvalidSampleRate(f"sample_rate must be finite and > 0, got {sample_rate!r}",
+                                "sample_rate")
+    return rate
 
 
 def _as_readonly_f64(values) -> np.ndarray:
@@ -38,12 +50,10 @@ class SignalBuffer:
     sample_rate: float
 
     def __post_init__(self):
-        rate = float(self.sample_rate)
-        if not np.isfinite(rate) or rate <= 0.0:
-            raise InvalidSampleRate(f"sample_rate must be > 0, got {self.sample_rate!r}")
+        rate = check_sample_rate(self.sample_rate)
         arr = _as_readonly_f64(self.samples)
         if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("samples must all be finite")
+            raise InvalidParameter("samples must all be finite")
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", rate)
 
@@ -75,11 +85,11 @@ class ToneSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.frequency) or self.frequency <= 0.0:
-            raise ValueError(f"tone frequency must be > 0 Hz, got {self.frequency!r}")
+            raise InvalidParameter(f"frequency must be > 0 Hz, got {self.frequency!r}", "frequency")
         if not np.isfinite(self.amplitude) or self.amplitude < 0.0:
-            raise ValueError(f"tone amplitude must be >= 0 V, got {self.amplitude!r}")
+            raise InvalidParameter(f"amplitude must be >= 0 V, got {self.amplitude!r}", "amplitude")
         if not np.isfinite(self.phase):
-            raise ValueError("tone phase must be finite")
+            raise InvalidParameter(f"phase must be finite, got {self.phase!r}", "phase")
 
 
 @dataclass(frozen=True)
@@ -92,21 +102,22 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.gaussian_sigma) or self.gaussian_sigma < 0.0:
-            raise ValueError("gaussian_sigma must be >= 0")
+            raise InvalidParameter("gaussian_sigma must be >= 0", "gaussian_sigma")
         if not np.isfinite(self.rayleigh_sigma) or self.rayleigh_sigma < 0.0:
-            raise ValueError("rayleigh_sigma must be >= 0")
+            raise InvalidParameter("rayleigh_sigma must be >= 0", "rayleigh_sigma")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed!r}", "seed")
 
 
 def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     """Sum of sinusoids: x[i] = sum_k a_k sin(2 pi f_k i / fs + phi_k).
 
-    Deterministic, and exactly linear in the tone amplitudes (each tone
-    is rendered once and scaled).
+    Deterministic.  Each tone is rendered once and scaled, so scaling
+    every amplitude by a power of two scales the samples exactly while
+    each product a_k sin(...) stays a normal float; a subnormal product
+    (below about 2.2e-308 in size) may round one step (5e-324) off.
     """
-    if not np.isfinite(sample_rate) or sample_rate <= 0.0:
-        raise InvalidSampleRate(f"sample_rate must be > 0, got {sample_rate!r}")
+    check_sample_rate(sample_rate)
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     for tone in tones:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .errors import InvalidWindow
+from .errors import InvalidParameter, InvalidWindow
 from .filterbank import LOWEST_PASSBAND_HZ
 from .signal_core import SignalBuffer
 
@@ -42,11 +42,11 @@ class TriggerConfig:
 
     def __post_init__(self):
         if not self.threshold > 0.0:
-            raise ValueError("threshold must be > 0")
+            raise InvalidParameter("threshold must be > 0", "threshold")
         if not self.high_level > self.threshold:
-            raise ValueError("high_level must exceed the threshold")
+            raise InvalidParameter("high_level must exceed threshold", "threshold", "high_level")
         if self.envelope_window is not None and self.envelope_window < 1:
-            raise InvalidWindow("envelope_window must be >= 1 sample")
+            raise InvalidWindow("envelope_window must be >= 1 sample", "envelope_window")
 
     def resolved(self, sample_rate: float) -> "TriggerConfig":
         """Fill a concrete envelope window for `sample_rate`."""
@@ -68,7 +68,7 @@ class GateLine:
         arr = np.array(self.levels, dtype=np.float64, copy=True).reshape(-1)
         arr.setflags(write=False)
         if not np.all((arr == 0.0) | (arr == self.high_level)):
-            raise ValueError("gate levels must be exactly 0 or exactly high_level")
+            raise InvalidParameter("gate levels must be exactly 0 or exactly high_level")
         object.__setattr__(self, "levels", arr)
 
     def __len__(self) -> int:

@@ -59,10 +59,38 @@ class TestRun:
 
     def test_existing_directory_is_replaced(self, tmp_path):
         out = tmp_path / "d"
-        out.mkdir()
-        (out / "stale.txt").write_text("old")
+        assert run_cli(["run", "--builtin", "4", "--out", str(out)]) == 0
         assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 0
         assert {p.name for p in out.iterdir()} == RUN_FILES
+        assert read_manifest(out)["verdicts"] == {"band3": False, "band40": False}
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_empty_directory_is_filled(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == RUN_FILES
+
+    @pytest.mark.parametrize("files", [
+        {"notes.txt": "mine"},
+        {"manifest.json": '{"name": "a web app"}'},
+        {"manifest.json": "not json"},
+    ])
+    def test_foreign_directory_survives(self, tmp_path, capsys, files):
+        out = tmp_path / "u"
+        out.mkdir()
+        for name, text in files.items():
+            (out / name).write_text(text)
+        assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 1
+        assert {p.name: p.read_text() for p in out.iterdir()} == files
+        assert capsys.readouterr().err.startswith("jamsim: error: --out ")
+        assert [p.name for p in tmp_path.iterdir()] == ["u"]
+
+    def test_regular_file_survives(self, tmp_path):
+        target = tmp_path / "f.txt"
+        target.write_text("mine")
+        assert run_cli(["run", "--builtin", "1", "--out", str(target)]) == 1
+        assert target.read_text() == "mine"
 
 
 class TestSeedResolution:

@@ -1,0 +1,137 @@
+"""Every invalid input ends in a typed error and exit code, never a traceback."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from jamsim.cli import run_cli
+from jamsim.errors import InvalidParameter, InvalidValue, ParseError
+from jamsim.pipeline import PipelineConfig
+from jamsim.scenario_io import parse_scenario_file
+
+TONE = "[tones]\nfreq_mhz = 1747.5\n"
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("jamsim: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+class TestInvalidFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--samples", "0"],
+        ["--samples", "-4"],
+        ["--fs", "nan"],
+        ["--fs", "inf"],
+        ["--fs", "0"],
+        ["--fs=-1e10"],
+    ])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        assert run_cli(["run", "--builtin", "1", "--out", str(out), *flags]) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_negative_seed_from_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("JAMSIM_SEED", "-5")
+        assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "d")]) == 1
+        assert_one_line_error(capsys)
+
+
+#: (scenario text, 1-based line of the key that set the bad value)
+BAD_FILES = [
+    ("[tones]\nfreq_mhz = -5\n", 2),
+    ("[tones]\nfreq_mhz = 1200\nfreq_mhz = 1300\namplitude_v = -1\n", 4),
+    (TONE + "[trigger]\nthreshold_v = 6\n", 4),
+    (TONE + "[trigger]\nhigh_v = 3\n\nthreshold_v = 4\n", 6),
+    (TONE + "[jammer]\ngain = 0.5\n", 4),
+    (TONE + "[jammer]\ngaussian_sigma_v = -1\n", 4),
+    (TONE + "[sim]\nn_samples = 0\n", 4),
+    (TONE + "[sim]\nseed = -3\n", 4),
+    (TONE + "[sim]\nseed = 1\nfilter_order = 3\n", 5),
+    (TONE + "[sim]\nsample_rate_hz = 0\n", 4),
+    (TONE + "[trigger]\nenvelope_window = 0\n", 4),
+]
+
+
+class TestInvalidFileValues:
+    @pytest.mark.parametrize("text,line", BAD_FILES)
+    def test_parser_names_the_line(self, text, line):
+        with pytest.raises(InvalidValue) as err:
+            parse_scenario_file(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text,line", BAD_FILES)
+    def test_cli_exits_1_naming_the_line(self, tmp_path, capsys, text, line):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        out = tmp_path / "d"
+        assert run_cli(["run", str(scn), "--out", str(out)]) == 1
+        assert f"line {line}: " in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_checks_see_the_whole_file(self):
+        # threshold_v = 6 is valid once the later high_v = 10 is read.
+        _, config = parse_scenario_file(TONE + "[trigger]\nthreshold_v = 6\nhigh_v = 10\n")
+        assert (config.trigger.threshold, config.trigger.high_level) == (6.0, 10.0)
+
+    def test_error_without_a_file_line_stays_a_parameter_error(self):
+        with pytest.raises(InvalidParameter) as err:
+            parse_scenario_file(TONE, default_seed=-1)
+        assert not isinstance(err.value, ParseError)
+
+
+class TestTypedConfigErrors:
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_rate": float("nan")}, {"sample_rate": float("inf")}, {"sample_rate": 0.0},
+        {"filter_order": 3}, {"filter_order": 0}, {"n_samples": 0}, {"seed": -1},
+        {"gain": 0.5}, {"rayleigh_sigma": -1.0}, {"measure_skip_fraction": 1.0},
+    ])
+    def test_pipeline_config_raises_invalid_parameter(self, kwargs):
+        with pytest.raises(InvalidParameter):
+            PipelineConfig(**kwargs)
+
+
+_KEYS = ["name", "freq_mhz", "amplitude_v", "phase_rad", "sample_rate_hz", "n_samples", "seed",
+         "filter_order", "gain", "gaussian_sigma_v", "rayleigh_sigma_v", "threshold_v",
+         "high_v", "envelope_window", "wobble"]
+_VALUES = st.one_of(
+    st.integers(-10, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0x10", "1e400", "-0", "", "1_000", "2.5e9"]),
+    st.text(max_size=8),
+)
+_LINES = st.one_of(
+    st.sampled_from(["[scenario]", "[tones]", "[sim]", "[jammer]", "[trigger]", "[bogus]",
+                     "", "# comment", "no equals sign"]),
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _VALUES),
+    st.text(max_size=24),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LINES, max_size=14).map("\n".join))
+    def test_any_scenario_text_parses_or_raises_parse_error(self, text):
+        try:
+            parse_scenario_file(text)
+        except ParseError:
+            pass
+
+    # --samples stays small so that no example allocates much memory.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(builtin=st.integers(0, 5),
+           seed=st.none() | st.integers(-3, 2**70),
+           fs=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+           samples=st.none() | st.integers(-3, 1024))
+    def test_run_flags_end_in_an_exit_code(self, tmp_path, capsys, builtin, seed, fs, samples):
+        argv = ["run", "--builtin", str(builtin), "--out", str(tmp_path / "d")]
+        for flag, value in (("--seed", seed), ("--fs", fs), ("--samples", samples)):
+            if value is not None:
+                argv.append(f"{flag}={value!r}")
+        assert run_cli(argv) in (0, 1, 2)
+        capsys.readouterr()

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from jamsim.errors import BandAboveNyquist, FrequencyAboveNyquist
 from jamsim.filterbank import BAND_FILTER_SPECS, frequency_response
+from jamsim.jammer import JammerConfig
 from jamsim.pipeline import (
     PipelineConfig,
     Scenario,
@@ -11,7 +14,7 @@ from jamsim.pipeline import (
     default_pipeline_config,
     run_scenario,
 )
-from jamsim.signal_core import ToneSpec
+from jamsim.signal_core import NoiseSpec, ToneSpec
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,13 @@ class TestBuild:
         band40 = loose.filters.by_id(4)
         assert frequency_response(uplink, [2355e6])[0][0] <= -15.0
         assert frequency_response(band40, [1842.5e6])[0][0] <= -15.0
+
+    def test_replacing_the_seed_rekeys_both_jammers(self):
+        config = replace(default_pipeline_config(gain=2.0, gaussian_sigma=0.5), seed=100)
+        assert config.jammer3 == JammerConfig(gain=2.0, noise=NoiseSpec(0.5, 1.0, 100))
+        assert config.jammer40 == JammerConfig(gain=2.0, noise=NoiseSpec(0.5, 1.0, 101))
+        p = build_pipeline(config)
+        assert (p.jammer3, p.jammer40) == (config.jammer3, config.jammer40)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -139,12 +149,6 @@ class TestRunScenario:
     def test_tone_above_nyquist_is_rejected_at_run_time(self, pipeline):
         with pytest.raises(FrequencyAboveNyquist):
             run_scenario(pipeline, single_tone_scenario(6000.0))
-
-    def test_overrides_rebuild_the_pipeline(self, pipeline):
-        scenario = Scenario(name="loose", tones=(ToneSpec(1.74e9, 2.0),),
-                            overrides={"filter_order": 2})
-        report = run_scenario(pipeline, scenario)
-        assert report.trigger1_level == 5.0
 
 
 class TestSweepSpotChecks:

@@ -9,7 +9,6 @@ from jamsim.errors import FrequencyAboveNyquist, InvalidValue, ParseError, Unkno
 from jamsim.jammer import JammerConfig
 from jamsim.pipeline import build_pipeline, run_scenario
 from jamsim.scenario_io import (
-    apply_seed,
     parse_scenario_file,
     render_scenario_file,
     write_spectrum_csv,
@@ -173,16 +172,6 @@ class TestRoundTrip:
         scenario2, config2 = parse_scenario_file(render_scenario_file(scenario, config))
         assert scenario2 == scenario
         assert config2 == config
-
-
-class TestApplySeed:
-    def test_rekeys_both_jammers(self):
-        _, config = parse_scenario_file("[jammer]\ngain = 2.0\ngaussian_sigma_v = 0.5\n")
-        rekeyed = apply_seed(config, 100)
-        assert rekeyed.jammer3.noise.seed == 100
-        assert rekeyed.jammer40.noise.seed == 101
-        assert rekeyed.jammer3.noise.gaussian_sigma == 0.5
-        assert rekeyed.jammer3.gain == 2.0
 
 
 class TestCsvWriters:

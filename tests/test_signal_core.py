@@ -84,8 +84,12 @@ class TestMultiTone:
         with pytest.raises(ValueError):
             multi_tone([], FS, -1)
 
+    # Amplitudes of 0 or >= 1e-6 V and phases of 0 or >= 1e-300 rad in size
+    # keep every product a * sin(...) normal or zero, the range in which
+    # multi_tone's scaling is exact.
     @settings(max_examples=50)
-    @given(st.lists(st.tuples(st.floats(1e6, 4e9), st.floats(0.0, 8.0), st.floats(-3.0, 3.0)),
+    @given(st.lists(st.tuples(st.floats(1e6, 4e9), st.just(0.0) | st.floats(1e-6, 8.0),
+                              st.floats(-3.0, 3.0).filter(lambda p: p == 0.0 or abs(p) >= 1e-300)),
                     min_size=0, max_size=5))
     def test_doubling_amplitudes_doubles_samples_exactly(self, tone_params):
         base = [ToneSpec(f, a, p) for f, a, p in tone_params]
@@ -93,6 +97,13 @@ class TestMultiTone:
         one = multi_tone(base, FS, 256)
         two = multi_tone(doubled, FS, 256)
         assert np.array_equal(two.samples, 2.0 * one.samples)
+
+    def test_doubling_a_subnormal_amplitude_is_off_by_at_most_one_step(self):
+        # 5e-324 V times a sine rounds to 0 or 5e-324; twice that amplitude
+        # can round the other way, one subnormal step (5e-324) apart.
+        one = multi_tone([ToneSpec(1577072.0, 5e-324)], FS, 256)
+        two = multi_tone([ToneSpec(1577072.0, 1e-323)], FS, 256)
+        assert np.max(np.abs(two.samples - 2.0 * one.samples)) <= 5e-324
 
 
 class TestToneSpec:
