@@ -26,7 +26,6 @@ from .errors import (
 )
 from .filterbank import (
     BAND_FILTER_SPECS,
-    BiquadSection,
     FilterBank,
     FilterSpec,
     FilterStages,

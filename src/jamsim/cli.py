@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .analysis import power_spectrum
 from .errors import InvalidParameter, JamSimError, ParseError
-from .filterbank import FilterBank, frequency_response
+from .filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from .pipeline import (
     PipelineConfig,
     Scenario,
@@ -246,7 +246,7 @@ def _cmd_scenarios() -> int:
 def _cmd_response(args) -> int:
     if not 1 <= args.filter <= 4:
         raise _UsageError("--filter must be in 1..4")
-    stages = FilterBank.design(DEFAULT_SAMPLE_RATE).by_id(args.filter)
+    stages = design_bandpass(BAND_FILTER_SPECS[args.filter - 1], DEFAULT_SAMPLE_RATE)
     freqs = np.linspace(0.0, stages.sample_rate / 2.0, 2049)
     mag_db, phase = frequency_response(stages, freqs)
     with _atomic_output(args.out) as path, open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -5,8 +5,10 @@ prototype of order ``order/2`` is frequency-transformed to a bandpass
 between the pre-warped band edges, mapped to z via the bilinear
 transform, and factored into second-order recursive sections.  The
 pre-warping makes the digital -3 dB points land exactly on the
-requested edges; each section is normalized to unit magnitude at the
-band centre, so the cascade has 0 dB gain there by construction.
+requested edges.  Each section is normalized to unit magnitude at the
+digital image of the analog geometric centre ``sqrt(w_low * w_high)``,
+so the cascade has 0 dB gain there and matches scipy's ``butter``.
+`FilterStages` holds the cascade as one read-only ``sos`` array.
 """
 
 from __future__ import annotations
@@ -32,30 +34,31 @@ DEFAULT_FILTER_ORDER = 6
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One passband: edges and centre in MHz."""
+    """One passband: edges in MHz."""
 
     id: int
     band_low: float
     band_high: float
-    center: float
 
     def __post_init__(self):
-        if self.band_low >= self.band_high:
-            raise InvalidParameter(
-                f"band_low must be below band_high, got {self.band_low}..{self.band_high} MHz")
-        midpoint = (self.band_low + self.band_high) / 2.0
-        if abs(self.center - midpoint) > 1e-6 * midpoint:
-            raise InvalidParameter(f"center {self.center} MHz is not the midpoint {midpoint} MHz")
+        if not 0.0 < self.band_low < self.band_high:
+            raise InvalidParameter(f"band edges must satisfy 0 < band_low < band_high, "
+                                   f"got {self.band_low}..{self.band_high} MHz")
+
+    @property
+    def center(self) -> float:
+        """The arithmetic midpoint of the band, in MHz."""
+        return (self.band_low + self.band_high) / 2.0
 
 
 #: The four detection bands.  Rows 2/3 are the Band 3 FDD uplink and
 #: downlink halves, row 4 is the shared Band 40 TDD allocation, and
 #: row 1 spans all of Band 3.
 BAND_FILTER_SPECS = (
-    FilterSpec(id=1, band_low=1710.0, band_high=1880.0, center=1795.0),
-    FilterSpec(id=2, band_low=1710.0, band_high=1785.0, center=1747.5),
-    FilterSpec(id=3, band_low=1805.0, band_high=1880.0, center=1842.5),
-    FilterSpec(id=4, band_low=2305.0, band_high=2405.0, center=2355.0),
+    FilterSpec(id=1, band_low=1710.0, band_high=1880.0),
+    FilterSpec(id=2, band_low=1710.0, band_high=1785.0),
+    FilterSpec(id=3, band_low=1805.0, band_high=1880.0),
+    FilterSpec(id=4, band_low=2305.0, band_high=2405.0),
 )
 
 #: Lowest passband edge over all bands, in Hz (sets the default
@@ -63,58 +66,50 @@ BAND_FILTER_SPECS = (
 LOWEST_PASSBAND_HZ = min(s.band_low for s in BAND_FILTER_SPECS) * 1e6
 
 
-@dataclass(frozen=True)
-class BiquadSection:
-    """One second-order recursive section, denominator monic."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def is_stable(self) -> bool:
-        # Poles strictly inside the unit circle (stability triangle).
-        return abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2
-
-
 @dataclass(frozen=True, eq=False)
 class FilterStages:
-    """A realized cascade of biquads for one `FilterSpec`."""
+    """A realized biquad cascade for one `FilterSpec`.
 
-    sections: tuple[BiquadSection, ...]
+    `sos` is a read-only (n_sections, 6) array, one row
+    ``[b0, b1, b2, 1, a1, a2]`` per section (scipy's sosfilt layout).
+    """
+
+    sos: np.ndarray
     sample_rate: float
     spec: FilterSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "sections", tuple(self.sections))
-        for sec in self.sections:
-            for c in (sec.b0, sec.b1, sec.b2, sec.a1, sec.a2):
-                if not math.isfinite(c):
-                    raise DesignUnstable("non-finite section coefficient")
-            if not sec.is_stable():
-                raise DesignUnstable(f"section {sec} has poles on or outside the unit circle")
+        sos = np.array(self.sos, dtype=np.float64)
+        if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
+            raise InvalidParameter("sos must be an array of rows [b0, b1, b2, 1, a1, a2]")
+        if not np.isfinite(sos).all():
+            raise DesignUnstable("non-finite section coefficient")
+        a1, a2 = sos[:, 4], sos[:, 5]
+        # Poles strictly inside the unit circle (stability triangle).
+        unstable = np.flatnonzero(~((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)))
+        if unstable.size:
+            i = unstable[0]
+            raise DesignUnstable(f"section {i} has poles on or outside the unit circle "
+                                 f"(a1={a1[i]:.17g}, a2={a2[i]:.17g})")
+        sos.setflags(write=False)
+        object.__setattr__(self, "sos", sos)
 
-    def sos(self) -> np.ndarray:
-        """Cascade as an (n_sections, 6) array for scipy.signal.sosfilt."""
-        return np.array(
-            [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections], dtype=np.float64
-        )
 
-
-def _pair_into_sections(z_poles: np.ndarray) -> list[tuple[float, float]]:
-    """Group z-plane poles into conjugate pairs; returns (a1, a2) per section."""
-    tol = 1e-12
-    pairs = []
-    upper = z_poles[np.imag(z_poles) > tol]
-    reals = np.sort(np.real(z_poles[np.abs(np.imag(z_poles)) <= tol]))
-    for p in upper:
-        pairs.append((-2.0 * float(np.real(p)), float(np.abs(p)) ** 2))
-    for r1, r2 in zip(reals[0::2], reals[1::2]):
-        pairs.append((-(r1 + r2), r1 * r2))
+def _pair_into_sections(z_poles: np.ndarray) -> np.ndarray:
+    """Group z-plane poles into conjugate pairs; returns an (n, 2) array of (a1, a2)."""
+    upper = z_poles[np.imag(z_poles) > 1e-12]
+    reals = np.sort(np.real(z_poles[np.abs(np.imag(z_poles)) <= 1e-12]))
+    pairs = [(-2.0 * float(np.real(p)), float(np.abs(p)) ** 2) for p in upper]
+    pairs += [(-(r1 + r2), r1 * r2) for r1, r2 in zip(reals[0::2], reals[1::2])]
     if 2 * len(pairs) != z_poles.size:
         raise DesignUnstable("pole set did not split into conjugate pairs")
-    return pairs
+    return np.array(pairs, dtype=np.float64)
+
+
+def _section_responses(sos: np.ndarray, z) -> np.ndarray:
+    """Each section's response at z = exp(-j*omega), shape (n_sections, z.size)."""
+    b0, b1, b2, _, a1, a2 = sos.T[:, :, None]
+    return (b0 + b1 * z + b2 * z * z) / (1.0 + a1 * z + a2 * z * z)
 
 
 def check_filter_order(order: int) -> None:
@@ -123,6 +118,9 @@ def check_filter_order(order: int) -> None:
         raise InvalidOrder(f"filter order must be even and >= 2, got {order!r}", "filter_order")
 
 
+# At extreme sample rates the design overflows or loses all precision;
+# every such design ends in DesignUnstable, so numpy's warnings add nothing.
+@np.errstate(all="ignore")
 def design_bandpass(spec: FilterSpec, sample_rate: float,
                     order: int = DEFAULT_FILTER_ORDER) -> FilterStages:
     """Synthesize one band-plan bandpass as `order/2` biquads.
@@ -162,16 +160,17 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     # prototype's s=0 zeros) and n at z=-1 (the zeros at infinity), so
     # every section takes numerator (1 - z^-2) before scaling.
     z_poles = (2.0 * sample_rate + s_poles) / (2.0 * sample_rate - s_poles)
+    sos = np.hstack([np.tile([1.0, 0.0, -1.0, 1.0], (n, 1)), _pair_into_sections(z_poles)])
 
-    zc = np.exp(-2j * np.pi * (spec.center * 1e6) / sample_rate)
-    sections = []
-    for a1, a2 in _pair_into_sections(z_poles):
-        gain = abs((1.0 - zc * zc) / (1.0 + a1 * zc + a2 * zc * zc))
-        if gain == 0.0 or not math.isfinite(gain):
-            raise DesignUnstable("section response degenerate at band centre")
-        sections.append(BiquadSection(b0=1.0 / gain, b1=0.0, b2=-1.0 / gain, a1=a1, a2=a2))
+    # Unit gain per section at the digital image of the analog
+    # geometric centre w0: f_c = fs/pi * atan(w0 / (2 fs)).
+    zc = np.exp(-2j * math.atan(math.sqrt(w0_sq) / (2.0 * sample_rate)))
+    gain = np.abs(_section_responses(sos, zc))[:, 0]
+    if not np.all((gain > 0.0) & np.isfinite(gain)):
+        raise DesignUnstable("section response degenerate at band centre")
+    sos[:, :3] /= gain[:, None]
 
-    stages = FilterStages(sections=tuple(sections), sample_rate=sample_rate, spec=spec)
+    stages = FilterStages(sos=sos, sample_rate=sample_rate, spec=spec)
     centre_db = frequency_response(stages, [spec.center * 1e6])[0][0]
     if not -1.0 <= centre_db <= 0.5:
         raise DesignUnstable(f"cascade gain at centre is {centre_db:.3f} dB, expected ~0 dB")
@@ -188,9 +187,7 @@ def frequency_response(stages: FilterStages, freqs) -> tuple[np.ndarray, np.ndar
     if f.size and (f.min() < 0.0 or f.max() > stages.sample_rate / 2.0):
         raise FrequencyAboveNyquist("response frequencies must lie in [0, fs/2]")
     z = np.exp(-2j * np.pi * f / stages.sample_rate)
-    h = np.ones(f.size, dtype=np.complex128)
-    for s in stages.sections:
-        h *= (s.b0 + s.b1 * z + s.b2 * z * z) / (1.0 + s.a1 * z + s.a2 * z * z)
+    h = np.prod(_section_responses(stages.sos, z), axis=0)
     mag_db = 20.0 * np.log10(np.maximum(np.abs(h), 1e-15))
     return mag_db, np.angle(h)
 
@@ -203,7 +200,8 @@ def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
         )
     if len(signal) == 0:
         return SignalBuffer(np.zeros(0), signal.sample_rate)
-    return SignalBuffer(sosfilt(stages.sos(), signal.samples), signal.sample_rate)
+    # sosfilt rejects a read-only coefficient buffer.
+    return SignalBuffer(sosfilt(stages.sos.copy(), signal.samples), signal.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,20 +211,17 @@ class FilterBank:
     filters: tuple[FilterStages, ...]
 
     def __post_init__(self):
-        ids = tuple(f.spec.id for f in self.filters)
-        if ids != (1, 2, 3, 4):
-            raise InvalidParameter(f"filter bank must hold exactly filters 1..4, got ids {ids}")
-        expected = tuple((s.band_low, s.band_high) for s in BAND_FILTER_SPECS)
-        actual = tuple((f.spec.band_low, f.spec.band_high) for f in self.filters)
-        if actual != expected:
-            raise InvalidParameter(f"filter bank passbands {actual} differ from {expected}")
+        specs = tuple(f.spec for f in self.filters)
+        if specs != BAND_FILTER_SPECS:
+            raise InvalidParameter(f"filter bank must hold {BAND_FILTER_SPECS} in order, "
+                                   f"got {specs}")
 
     @classmethod
     def design(cls, sample_rate: float, order: int = DEFAULT_FILTER_ORDER) -> "FilterBank":
         return cls(tuple(design_bandpass(s, sample_rate, order) for s in BAND_FILTER_SPECS))
 
     def by_id(self, filter_id: int) -> FilterStages:
-        for f in self.filters:
-            if f.spec.id == filter_id:
-                return f
-        raise KeyError(f"no filter with id {filter_id}")
+        """The filter with `filter_id`; the constructor keeps ids 1..4 in order."""
+        if filter_id not in (1, 2, 3, 4):
+            raise KeyError(f"no filter with id {filter_id}")
+        return self.filters[filter_id - 1]

@@ -34,6 +34,10 @@ from .signal_core import (
 from .trigger import GateLine, TriggerConfig, trigger_chain
 
 
+#: Longest buffer whose float64 byte count numpy can index.
+MAX_N_SAMPLES = np.iinfo(np.intp).max // 8
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every knob of a run: rates, filter order, trigger and jammer settings.
@@ -55,8 +59,9 @@ class PipelineConfig:
     def __post_init__(self):
         check_sample_rate(self.sample_rate)
         check_filter_order(self.filter_order)
-        if self.n_samples <= 0:
-            raise InvalidParameter(f"n_samples must be > 0, got {self.n_samples!r}", "n_samples")
+        if not 2 <= self.n_samples <= MAX_N_SAMPLES:
+            raise InvalidParameter(f"n_samples must lie in 2..{MAX_N_SAMPLES}, "
+                                   f"got {self.n_samples!r}", "n_samples")
         if not 0.0 <= self.measure_skip_fraction < 1.0:
             raise InvalidParameter("measure_skip_fraction must lie in [0, 1)")
         self._jammer(self.seed)  # checks gain, both sigmas and seed

@@ -13,7 +13,6 @@ from jamsim.errors import (
 )
 from jamsim.filterbank import (
     BAND_FILTER_SPECS,
-    BiquadSection,
     FilterBank,
     FilterSpec,
     FilterStages,
@@ -46,13 +45,13 @@ def bisect_minus3db_edge(stages, f_inside, f_outside, iters=80):
 def df2t_reference(stages, x):
     """Per-sample direct-form II transposed cascade, independent of scipy."""
     y = np.asarray(x, dtype=np.float64).copy()
-    for s in stages.sections:
+    for b0, b1, b2, _, a1, a2 in stages.sos:
         z1 = z2 = 0.0
         out = np.empty_like(y)
         for i, xi in enumerate(y):
-            yi = s.b0 * xi + z1
-            z1 = s.b1 * xi - s.a1 * yi + z2
-            z2 = s.b2 * xi - s.a2 * yi
+            yi = b0 * xi + z1
+            z1 = b1 * xi - a1 * yi + z2
+            z2 = b2 * xi - a2 * yi
             out[i] = yi
         y = out
     return y
@@ -83,9 +82,13 @@ class TestDesign:
 
     def test_malformed_spec_rejected(self):
         with pytest.raises(ValueError):
-            FilterSpec(id=9, band_low=1880.0, band_high=1710.0, center=1795.0)
-        with pytest.raises(ValueError):
-            FilterSpec(id=9, band_low=1710.0, band_high=1880.0, center=1700.0)
+            FilterSpec(id=9, band_low=1880.0, band_high=1710.0)
+        for low in (0.0, -5.0, float("nan")):
+            with pytest.raises(ValueError):
+                FilterSpec(id=9, band_low=low, band_high=1880.0)
+
+    def test_center_is_the_arithmetic_midpoint(self):
+        assert [s.center for s in BAND_FILTER_SPECS] == [1795.0, 1747.5, 1842.5, 2355.0]
 
     def test_band40_filter_rejects_band3_centre(self):
         stages = design_bandpass(BAND_FILTER_SPECS[3], FS)
@@ -114,25 +117,54 @@ class TestDesign:
 
     def test_sections_are_stable(self, default_bank):
         for stages in default_bank.filters:
-            for section in stages.sections:
-                assert section.is_stable()
+            for _, _, _, a0, a1, a2 in stages.sos:
+                assert a0 == 1.0 and abs(a2) < 1.0 and abs(a1) < 1.0 + a2
 
-    def test_matches_independent_butterworth_design(self):
+    @pytest.mark.parametrize("order", range(2, 25, 2))
+    @pytest.mark.parametrize("fs", [4e9, 5e9, 10e9, 40e9, 100e9])
+    def test_matches_independent_butterworth_design(self, fs, order):
         # scipy's own Butterworth bandpass is the cross-check; both are
         # normalized designs so magnitudes must coincide closely.
-        probe = np.linspace(1.0e9, 4.5e9, 1501)
+        probe = np.linspace(1.0e9, min(4.5e9, fs / 2.0), 1501)
         for spec in BAND_FILTER_SPECS:
-            stages = design_bandpass(spec, FS)
+            if spec.band_high * 1e6 >= fs / 2.0:
+                continue
+            stages = design_bandpass(spec, fs, order)
             mine = 10.0 ** (frequency_response(stages, probe)[0] / 20.0)
-            sos = sps.butter(3, [spec.band_low * 1e6, spec.band_high * 1e6],
-                             btype="bandpass", fs=FS, output="sos")
-            theirs = np.abs(sps.sosfreqz(sos, worN=probe, fs=FS)[1])
+            sos = sps.butter(order // 2, [spec.band_low * 1e6, spec.band_high * 1e6],
+                             btype="bandpass", fs=fs, output="sos")
+            theirs = np.abs(sps.sosfreqz(sos, worN=probe, fs=fs)[1])
             assert np.allclose(mine, theirs, rtol=1e-9, atol=1e-15)
 
     def test_unstable_section_rejected_at_construction(self):
-        bad = BiquadSection(b0=1.0, b1=0.0, b2=0.0, a1=-2.1, a2=1.2)
+        bad = [[1.0, 0.0, 0.0, 1.0, 0.0, 0.5], [1.0, 0.0, 0.0, 1.0, -2.1, 1.2]]
+        with pytest.raises(DesignUnstable, match=r"section 1 .*a1=-2\.1.*a2=1\.2"):
+            FilterStages(sos=bad, sample_rate=FS, spec=BAND_FILTER_SPECS[0])
+
+    @pytest.mark.parametrize("sos", [
+        [[1.0, 0.0, float("nan"), 1.0, 0.0, 0.0]],
+        [[1.0, 0.0, 0.0, 1.0, float("inf"), 0.0]],
+    ])
+    def test_non_finite_coefficient_rejected(self, sos):
         with pytest.raises(DesignUnstable):
-            FilterStages(sections=(bad,), sample_rate=FS, spec=BAND_FILTER_SPECS[0])
+            FilterStages(sos=sos, sample_rate=FS, spec=BAND_FILTER_SPECS[0])
+
+    @pytest.mark.parametrize("sos", [
+        [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [[1.0, 0.0, 0.0, 1.0, 0.0]],
+        [[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]],
+    ])
+    def test_malformed_sos_rejected(self, sos):
+        with pytest.raises(ValueError):
+            FilterStages(sos=sos, sample_rate=FS, spec=BAND_FILTER_SPECS[0])
+
+    def test_sos_is_a_read_only_copy(self):
+        rows = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+        stages = FilterStages(sos=rows, sample_rate=FS, spec=BAND_FILTER_SPECS[0])
+        rows[0, 0] = 2.0
+        assert stages.sos[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            stages.sos[0, 0] = 3.0
 
 
 class TestFrequencyResponse:
@@ -141,9 +173,8 @@ class TestFrequencyResponse:
             assert mag_db_at(stages, 0.0) <= -40.0
 
     def test_identity_filter_is_flat(self):
-        identity = FilterStages(
-            sections=(BiquadSection(b0=1.0, b1=0.0, b2=0.0, a1=0.0, a2=0.0),),
-            sample_rate=FS, spec=BAND_FILTER_SPECS[0])
+        identity = FilterStages(sos=[[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]],
+                                sample_rate=FS, spec=BAND_FILTER_SPECS[0])
         mags, phases = frequency_response(identity, np.linspace(0.0, FS / 2.0, 64))
         assert np.allclose(mags, 0.0, atol=1e-12)
         assert np.allclose(phases, 0.0, atol=1e-12)
@@ -225,6 +256,10 @@ class TestFilterBank:
         with pytest.raises(ValueError):
             FilterBank(default_bank.filters[:3])
 
+    def test_by_id_returns_the_filter_with_that_id(self, default_bank):
+        assert [default_bank.by_id(k).spec.id for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
+
     def test_by_id_unknown(self, default_bank):
-        with pytest.raises(KeyError):
-            default_bank.by_id(5)
+        for filter_id in (0, -1, 5):
+            with pytest.raises(KeyError):
+                default_bank.by_id(filter_id)

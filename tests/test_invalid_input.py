@@ -1,5 +1,7 @@
 """Every invalid input ends in a typed error and exit code, never a traceback."""
 
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,9 @@ class TestInvalidFlags:
         ["--seed", "-1"],
         ["--samples", "0"],
         ["--samples", "-4"],
+        ["--samples", "1"],
+        # Past the longest indexable float64 buffer; rejected before any allocation.
+        ["--samples", "10000000000000000000"],
         ["--fs", "nan"],
         ["--fs", "inf"],
         ["--fs", "0"],
@@ -33,6 +38,15 @@ class TestInvalidFlags:
         out = tmp_path / "d"
         assert run_cli(["run", "--builtin", "1", "--out", str(out), *flags]) == 1
         assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fs", ["1e18", "1e100", "1e300", "1.7e308"])
+    def test_undesignable_sample_rate_exits_2_without_warnings(self, tmp_path, capsys, fs):
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", "--builtin", "1", "--out", str(out), "--fs", fs]) == 2
+        assert "simulation error" in assert_one_line_error(capsys)
         assert not out.exists()
 
     def test_negative_seed_from_the_environment(self, tmp_path, capsys, monkeypatch):
@@ -50,6 +64,7 @@ BAD_FILES = [
     (TONE + "[jammer]\ngain = 0.5\n", 4),
     (TONE + "[jammer]\ngaussian_sigma_v = -1\n", 4),
     (TONE + "[sim]\nn_samples = 0\n", 4),
+    (TONE + "[sim]\nseed = 3\nn_samples = 1\n", 5),
     (TONE + "[sim]\nseed = -3\n", 4),
     (TONE + "[sim]\nseed = 1\nfilter_order = 3\n", 5),
     (TONE + "[sim]\nsample_rate_hz = 0\n", 4),
@@ -87,7 +102,8 @@ class TestInvalidFileValues:
 class TestTypedConfigErrors:
     @pytest.mark.parametrize("kwargs", [
         {"sample_rate": float("nan")}, {"sample_rate": float("inf")}, {"sample_rate": 0.0},
-        {"filter_order": 3}, {"filter_order": 0}, {"n_samples": 0}, {"seed": -1},
+        {"filter_order": 3}, {"filter_order": 0}, {"n_samples": 0}, {"n_samples": 1},
+        {"n_samples": 2**63}, {"seed": -1},
         {"gain": 0.5}, {"rayleigh_sigma": -1.0}, {"measure_skip_fraction": 1.0},
     ])
     def test_pipeline_config_raises_invalid_parameter(self, kwargs):
