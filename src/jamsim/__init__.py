@@ -6,7 +6,7 @@ into a 0V/5V gate; gated jammers re-emit the downlink signal amplified
 and buried in Gaussian + Rayleigh noise.
 """
 
-from .analysis import Spectrum, find_peaks, power_spectrum, rms
+from .analysis import Spectrum, power_spectrum, rms
 from .errors import (
     BandAboveNyquist,
     BufferTooShort,
@@ -44,15 +44,7 @@ from .pipeline import (
     default_pipeline_config,
     run_scenario,
 )
-from .signal_core import (
-    NoiseSpec,
-    SignalBuffer,
-    ToneSpec,
-    add,
-    gaussian_noise,
-    multi_tone,
-    rayleigh_noise,
-)
+from .signal_core import NoiseSpec, SignalBuffer, ToneSpec, multi_tone
 from .trigger import (
     GateLine,
     TriggerConfig,

@@ -1,4 +1,4 @@
-"""Measurement utilities: power spectrum, RMS, spectral peak listing."""
+"""Measurement utilities: power spectrum and RMS."""
 
 from __future__ import annotations
 
@@ -64,22 +64,3 @@ def rms(signal: SignalBuffer, skip_fraction: float = 0.0) -> float:
     if tail.size == 0:
         raise EmptyMeasurementRegion("nothing left to measure after the skip region")
     return float(np.sqrt(np.mean(tail * tail)))
-
-
-def find_peaks(spectrum: Spectrum, min_db_above_floor: float) -> list[tuple[float, float]]:
-    """Local maxima more than `min_db_above_floor` dB above the median bin.
-
-    Returns (frequency_hz, power_db) pairs sorted by frequency.
-    """
-    p = spectrum.power_db
-    if p.size == 0:
-        return []
-    floor = float(np.median(p))
-    cut = floor + min_db_above_floor
-    peaks: list[tuple[float, float]] = []
-    for k in range(p.size):
-        left_ok = k == 0 or p[k] > p[k - 1]
-        right_ok = k == p.size - 1 or p[k] > p[k + 1]
-        if left_ok and right_ok and p[k] > cut:
-            peaks.append((float(spectrum.freqs[k]), float(p[k])))
-    return peaks

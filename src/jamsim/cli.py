@@ -42,7 +42,7 @@ from .pipeline import (
     builtin_scenarios,
     run_scenario,
 )
-from .scenario_io import parse_scenario_file, write_spectrum_csv, write_timeseries_csv
+from .scenario_io import _write_csv, parse_scenario_file, write_spectrum_csv, write_timeseries_csv
 from .signal_core import DEFAULT_SAMPLE_RATE, DEFAULT_SEED
 
 SEED_ENV_VAR = "JAMSIM_SEED"
@@ -249,10 +249,8 @@ def _cmd_response(args) -> int:
     stages = design_bandpass(BAND_FILTER_SPECS[args.filter - 1], DEFAULT_SAMPLE_RATE)
     freqs = np.linspace(0.0, stages.sample_rate / 2.0, 2049)
     mag_db, phase = frequency_response(stages, freqs)
-    with _atomic_output(args.out) as path, open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz,magnitude_db,phase_rad\n")
-        for f, m, p in zip(freqs, mag_db, phase):
-            fh.write(f"{f:.8e},{m:.8e},{p:.8e}\n")
+    with _atomic_output(args.out) as path:
+        _write_csv(path, "freq_hz,magnitude_db,phase_rad", freqs, mag_db, phase)
     return 0
 
 
@@ -274,7 +272,7 @@ def run_cli(argv=None) -> int:
     except ParseError as exc:
         print(f"jamsim: scenario file error: {exc}", file=sys.stderr)
         return 1
-    except JamSimError as exc:
+    except (JamSimError, MemoryError) as exc:  # MemoryError: a buffer too large to allocate
         print(f"jamsim: simulation error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import InvalidParameter, LengthMismatch, SampleRateMismatch
-from .signal_core import DEFAULT_SEED, NoiseSpec, SignalBuffer, gaussian_noise, rayleigh_noise
+from .signal_core import DEFAULT_SEED, NoiseSpec, SignalBuffer
 from .trigger import GateLine
 
 DEFAULT_GAIN = 5.0
@@ -42,9 +43,9 @@ def jam(signal: SignalBuffer, gate: GateLine, config: JammerConfig) -> SignalBuf
         raise SampleRateMismatch(
             f"signal at {signal.sample_rate} Hz but gate at {gate.sample_rate} Hz"
         )
-    n = len(signal)
-    g = gaussian_noise(config.noise, n, signal.sample_rate).samples
-    r = rayleigh_noise(config.noise, n, signal.sample_rate).samples
+    noise, n = config.noise, len(signal)
+    g = rng.gaussian_stream(noise.gaussian_sigma, noise.seed, n)
+    r = rng.rayleigh_stream(noise.rayleigh_sigma, noise.seed, n)
     active = config.gain * signal.samples + g + r
     out = np.where(gate.levels > 0.0, active, 0.0)
     return SignalBuffer(out, signal.sample_rate)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -34,10 +36,14 @@ def mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise InvalidParameter(f"count must be >= 0, got {count!r}", "count")
+
+
 def raw_stream(seed: int, count: int) -> np.ndarray:
     """First `count` raw 64-bit outputs of splitmix64 for `seed`."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_count(count)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)  # wraps mod 2**64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -52,8 +58,7 @@ def uniform_stream(seed: int, count: int) -> np.ndarray:
 
 def gaussian_stream(sigma: float, seed: int, count: int) -> np.ndarray:
     """i.i.d. Normal(0, sigma^2) draws via Box-Muller."""
-    if count == 0:
-        return np.zeros(0)
+    _check_count(count)  # before rounding up to whole pairs hides a -1
     pairs = (count + 1) // 2
     u = uniform_stream(mix64(seed ^ _GAUSSIAN_TAG), 2 * pairs)
     radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))

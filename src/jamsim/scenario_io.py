@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 
+import numpy as np
+
 from .analysis import Spectrum
 from .errors import InvalidParameter, InvalidValue, ParseError, UnknownKey
 from .pipeline import PipelineConfig, Scenario
@@ -152,22 +154,30 @@ def render_scenario_file(scenario: Scenario, config: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    # Decimal scientific notation, 9 significant digits.
-    return f"{value:.8e}"
+#: Rows formatted per write, so a long buffer's CSV body is never held whole in memory.
+_CSV_BLOCK_ROWS = 65536
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """Write `header`, then one row per index of the aligned `columns`.
+
+    Every value is written in decimal scientific notation with 9
+    significant digits.
+    """
+    row = ",".join(["%.8e"] * len(columns)) + "\n"
+    n_rows = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_timeseries_csv(buffer: SignalBuffer, path) -> None:
     """CSV rows `time_s,value_v`, t_i = i / sample_rate."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_s,value_v\n")
-        for i, v in enumerate(buffer.samples):
-            fh.write(f"{_fmt(i / buffer.sample_rate)},{_fmt(v)}\n")
+    _write_csv(path, "time_s,value_v", buffer.times(), buffer.samples)
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """CSV rows `freq_hz,power_db`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz,power_db\n")
-        for f, p in zip(spectrum.freqs, spectrum.power_db):
-            fh.write(f"{_fmt(f)},{_fmt(p)}\n")
+    _write_csv(path, "freq_hz,power_db", spectrum.freqs, spectrum.power_db)

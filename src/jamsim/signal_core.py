@@ -1,9 +1,10 @@
-"""Sample buffers, multi-tone sources and seeded noise generators.
+"""Sample buffers, tone and noise settings, and the multi-tone source.
 
 Everything downstream (filters, trigger, jammer, analysis) exchanges
 `SignalBuffer` values: a uniformly sampled real voltage sequence plus
 its sample rate.  Buffers are immutable; operations are pure functions
-of their inputs, so concurrent use needs no locking.
+of their inputs, so concurrent use needs no locking.  The noise streams
+themselves come from `jamsim.rng`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .errors import (FrequencyAboveNyquist, InvalidParameter, InvalidSampleRate, LengthMismatch,
-                     SampleRateMismatch)
+from .errors import FrequencyAboveNyquist, InvalidParameter, InvalidSampleRate
 
 #: Simulation defaults: 10 GS/s comfortably clears twice the highest
 #: tone of interest (3 GHz), and 4096 samples span 409.6 ns.
@@ -65,11 +64,6 @@ class SignalBuffer:
             return NotImplemented
         return self.sample_rate == other.sample_rate and np.array_equal(self.samples, other.samples)
 
-    @property
-    def duration(self) -> float:
-        """Covered time span in seconds."""
-        return self.samples.size / self.sample_rate
-
     def times(self) -> np.ndarray:
         """Sample instants t_i = i / sample_rate in seconds."""
         return np.arange(self.samples.size) / self.sample_rate
@@ -119,7 +113,7 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     """
     check_sample_rate(sample_rate)
     if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
+        raise InvalidParameter(f"n_samples must be >= 0, got {n_samples!r}", "n_samples")
     for tone in tones:
         if tone.frequency >= sample_rate / 2.0:
             raise FrequencyAboveNyquist(
@@ -130,30 +124,3 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     for tone in tones:
         acc += tone.amplitude * np.sin(2.0 * np.pi * tone.frequency * t + tone.phase)
     return SignalBuffer(acc, sample_rate)
-
-
-def gaussian_noise(spec: NoiseSpec, n_samples: int,
-                   sample_rate: float = DEFAULT_SAMPLE_RATE) -> SignalBuffer:
-    """i.i.d. Normal(0, gaussian_sigma^2) buffer; same seed, same bits."""
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
-    return SignalBuffer(rng.gaussian_stream(spec.gaussian_sigma, spec.seed, n_samples), sample_rate)
-
-
-def rayleigh_noise(spec: NoiseSpec, n_samples: int,
-                   sample_rate: float = DEFAULT_SAMPLE_RATE) -> SignalBuffer:
-    """i.i.d. Rayleigh(scale=rayleigh_sigma) buffer; all samples >= 0."""
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
-    return SignalBuffer(rng.rayleigh_stream(spec.rayleigh_sigma, spec.seed, n_samples), sample_rate)
-
-
-def add(a: SignalBuffer, b: SignalBuffer) -> SignalBuffer:
-    """Elementwise sum of two aligned buffers."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"cannot add buffers of length {len(a)} and {len(b)}")
-    if a.sample_rate != b.sample_rate:
-        raise SampleRateMismatch(
-            f"cannot add buffers at {a.sample_rate} and {b.sample_rate} samples/s"
-        )
-    return SignalBuffer(a.samples + b.samples, a.sample_rate)

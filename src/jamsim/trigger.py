@@ -89,6 +89,8 @@ def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
         raise InvalidWindow(f"envelope window must be >= 1, got {window}")
     if len(signal) == 0:
         return signal
+    # Any window of len(signal) or more reaches back to sample 0 everywhere.
+    window = min(window, len(signal))
     # origin shifts the max window so it ends at the current sample.
     env = maximum_filter1d(signal.samples, size=window,
                            origin=(window - 1) - window // 2,

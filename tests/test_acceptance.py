@@ -16,7 +16,8 @@ from jamsim.analysis import power_spectrum, rms
 from jamsim.cli import run_cli
 from jamsim.filterbank import BAND_FILTER_SPECS, FilterBank, apply_filter, frequency_response
 from jamsim.pipeline import Scenario, build_pipeline, builtin_scenarios, default_pipeline_config, run_scenario
-from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec, gaussian_noise, multi_tone, rayleigh_noise
+from jamsim.rng import gaussian_stream, rayleigh_stream
+from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 from jamsim.trigger import TriggerConfig, comparator, default_envelope_window, full_wave_rectify, trigger_chain
 
 FS = 10e9
@@ -175,10 +176,10 @@ def _check_parseval():
 def _check_noise_moments():
     p_at_sigma = 1.0 - np.exp(-0.5)
     for seed in range(20):
-        g = gaussian_noise(NoiseSpec(gaussian_sigma=1.0, seed=seed), 10**6)
-        assert float(np.var(g.samples)) == pytest.approx(1.0, rel=0.02)
-        r = rayleigh_noise(NoiseSpec(rayleigh_sigma=1.0, seed=seed), 10**6)
-        cdf_at_sigma = float(np.mean(r.samples <= 1.0))
+        g = gaussian_stream(1.0, seed, 10**6)
+        assert float(np.var(g)) == pytest.approx(1.0, rel=0.02)
+        r = rayleigh_stream(1.0, seed, 10**6)
+        cdf_at_sigma = float(np.mean(r <= 1.0))
         assert cdf_at_sigma == pytest.approx(p_at_sigma, rel=0.01)
 
 

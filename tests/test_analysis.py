@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim.analysis import DB_FLOOR, Spectrum, find_peaks, power_spectrum, rms
+from jamsim.analysis import DB_FLOOR, Spectrum, power_spectrum, rms
 from jamsim.errors import BufferTooShort, EmptyMeasurementRegion
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 
@@ -20,6 +20,14 @@ class TestPowerSpectrum:
         spec = power_spectrum(multi_tone([ToneSpec(2.34e9, 2.0)], FS, N))
         peak_bin = int(np.argmax(spec.power_db))
         assert abs(spec.freqs[peak_bin] - 2.34e9) <= spec.resolution
+
+    @settings(max_examples=50)
+    @given(st.integers(5, N // 2 - 5), st.floats(0.1, 10.0, allow_nan=False))
+    def test_bin_exact_tone_peaks_at_its_bin(self, bin_index, amplitude):
+        res = FS / N
+        spec = power_spectrum(multi_tone([ToneSpec(bin_index * res, amplitude)], FS, N))
+        assert int(np.argmax(spec.power_db)) == bin_index
+        assert spec.freqs[bin_index] == pytest.approx(bin_index * res, abs=1e-3)
 
     def test_parseval_normalization(self):
         rng = np.random.default_rng(0)
@@ -83,43 +91,6 @@ class TestRms:
         base = rms(SignalBuffer(xs, FS))
         scaled = rms(SignalBuffer(c * xs, FS))
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
-
-
-class TestFindPeaks:
-    def test_four_tone_input_yields_exactly_four_peaks(self):
-        tones_hz = (1.2e9, 1.5e9, 1.6e9, 3.0e9)
-        spec = power_spectrum(multi_tone([ToneSpec(f, 2.0) for f in tones_hz], FS, N))
-        peaks = find_peaks(spec, 30.0)
-        assert len(peaks) == 4
-        for (freq, _), expected in zip(peaks, tones_hz):
-            assert abs(freq - expected) <= spec.resolution
-
-    def test_flat_floor_has_no_peaks(self):
-        spec = power_spectrum(SignalBuffer(np.zeros(N), FS))
-        assert find_peaks(spec, 30.0) == []
-
-    def test_two_tones_three_bins_apart_resolve(self):
-        res = FS / N
-        spec = power_spectrum(multi_tone([ToneSpec(500 * res, 2.0), ToneSpec(503 * res, 2.0)], FS, N))
-        peaks = find_peaks(spec, 30.0)
-        assert len(peaks) == 2
-        assert abs(peaks[0][0] - 500 * res) <= res
-        assert abs(peaks[1][0] - 503 * res) <= res
-
-    def test_results_sorted_by_frequency(self):
-        tones = [ToneSpec(f, 2.0) for f in (3.0e9, 1.2e9, 2.3e9)]
-        peaks = find_peaks(power_spectrum(multi_tone(tones, FS, N)), 30.0)
-        freqs = [f for f, _ in peaks]
-        assert freqs == sorted(freqs)
-
-    @settings(max_examples=50)
-    @given(st.integers(5, N // 2 - 5), st.floats(0.1, 10.0, allow_nan=False))
-    def test_bin_exact_tone_recovered_exactly(self, bin_index, amplitude):
-        res = FS / N
-        spec = power_spectrum(multi_tone([ToneSpec(bin_index * res, amplitude)], FS, N))
-        peaks = find_peaks(spec, 30.0)
-        assert len(peaks) == 1
-        assert peaks[0][0] == pytest.approx(bin_index * res, abs=1e-3)
 
 
 class TestSpectrumType:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from jamsim.cli import run_cli
 from jamsim.errors import InvalidParameter, InvalidValue, ParseError
 from jamsim.pipeline import PipelineConfig
+from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.scenario_io import parse_scenario_file
+from jamsim.signal_core import multi_tone
 
 TONE = "[tones]\nfreq_mhz = 1747.5\n"
 
@@ -49,6 +51,14 @@ class TestInvalidFlags:
         assert "simulation error" in assert_one_line_error(capsys)
         assert not out.exists()
 
+    def test_unallocatable_buffer_exits_2_with_one_line(self, tmp_path, capsys):
+        # 10**15 samples pass the n_samples range check but exceed the address
+        # space, so the first allocation fails at once without touching memory.
+        out = tmp_path / "d"
+        assert run_cli(["run", "--builtin", "1", "--out", str(out), "--samples", str(10**15)]) == 2
+        assert "simulation error" in assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_negative_seed_from_the_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("JAMSIM_SEED", "-5")
         assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "d")]) == 1
@@ -70,6 +80,14 @@ BAD_FILES = [
     (TONE + "[sim]\nsample_rate_hz = 0\n", 4),
     (TONE + "[trigger]\nenvelope_window = 0\n", 4),
 ]
+
+
+class TestHugeEnvelopeWindow:
+    @pytest.mark.parametrize("window", ["1000000000000", "100000000000000000000000000000"])
+    def test_run_exits_0(self, tmp_path, window):
+        scn = tmp_path / "w.scn"
+        scn.write_text(TONE + f"[sim]\nn_samples = 64\n[trigger]\nenvelope_window = {window}\n")
+        assert run_cli(["run", str(scn), "--out", str(tmp_path / "d")]) == 0
 
 
 class TestInvalidFileValues:
@@ -109,6 +127,17 @@ class TestTypedConfigErrors:
     def test_pipeline_config_raises_invalid_parameter(self, kwargs):
         with pytest.raises(InvalidParameter):
             PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("count", [-1, -3])
+@pytest.mark.parametrize("draw", [
+    lambda n: gaussian_stream(1.0, 7, n),
+    lambda n: rayleigh_stream(1.0, 7, n),
+    lambda n: multi_tone([], 10e9, n),
+], ids=["gaussian_stream", "rayleigh_stream", "multi_tone"])
+def test_negative_length_raises_invalid_parameter(draw, count):
+    with pytest.raises(InvalidParameter):
+        draw(count)
 
 
 _KEYS = ["name", "freq_mhz", "amplitude_v", "phase_rad", "sample_rate_hz", "n_samples", "seed",

@@ -3,7 +3,8 @@ import pytest
 
 from jamsim.errors import LengthMismatch, SampleRateMismatch
 from jamsim.jammer import JammerConfig, jam
-from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec, gaussian_noise, multi_tone, rayleigh_noise
+from jamsim.rng import gaussian_stream, rayleigh_stream
+from jamsim.signal_core import NoiseSpec, ToneSpec, multi_tone
 from jamsim.trigger import GateLine
 
 FS = 10e9
@@ -55,8 +56,8 @@ class TestTransferFunction:
         signal = tone_2v()
         out = jam(signal, full_gate(), cfg)
         expected = (5.0 * signal.samples
-                    + gaussian_noise(cfg.noise, N, FS).samples
-                    + rayleigh_noise(cfg.noise, N, FS).samples)
+                    + gaussian_stream(1.0, 99, N)
+                    + rayleigh_stream(1.0, 99, N))
         assert np.array_equal(out.samples, expected)
 
     def test_output_rms_dominates_input_rms(self):

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jamsim.analysis import power_spectrum
+import jamsim.scenario_io as scenario_io
+from jamsim.analysis import DB_FLOOR, Spectrum, power_spectrum
+from jamsim.cli import run_cli
 from jamsim.errors import FrequencyAboveNyquist, InvalidValue, ParseError, UnknownKey
+from jamsim.filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from jamsim.jammer import JammerConfig
 from jamsim.pipeline import build_pipeline, run_scenario
 from jamsim.scenario_io import (
@@ -20,6 +23,23 @@ from jamsim.trigger import TriggerConfig
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 SCI9 = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
+
+
+def per_row_csv(header, *columns):
+    """The writers' original one-f-string-per-row output, kept as the byte reference."""
+    rows = [",".join(f"{v:.8e}" for v in row) for row in zip(*columns)]
+    return "".join(line + "\n" for line in [header, *rows]).encode("utf-8")
+
+
+def per_row_timeseries_csv(buffer):
+    times = [i / buffer.sample_rate for i in range(len(buffer))]
+    return per_row_csv("time_s,value_v", times, buffer.samples)
+
+
+#: Values whose formatting is easy to get wrong: signed zero, the smallest
+#: subnormal, the DB floor, the largest finite double, and digits to round.
+AWKWARD_VALUES = [0.0, -0.0, 5e-324, -5e-324, DB_FLOOR, 1.797e308, -1.797e308, 1.0 / 3.0,
+                  -2.0e-5, 123456789.5, 9.999999995e-7]
 
 
 class TestParse:
@@ -172,6 +192,42 @@ class TestRoundTrip:
         scenario2, config2 = parse_scenario_file(render_scenario_file(scenario, config))
         assert scenario2 == scenario
         assert config2 == config
+
+
+class TestCsvBytes:
+    @pytest.fixture(params=[3, None], ids=["3-row-blocks", "default-blocks"])
+    def block_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(scenario_io, "_CSV_BLOCK_ROWS", request.param)
+
+    @pytest.mark.parametrize("sample_rate", [10e9, 9e9, 3.0])
+    def test_timeseries_matches_the_per_row_formatter(self, tmp_path, block_rows, sample_rate):
+        noise = np.random.default_rng(2).normal(scale=3.0, size=1000)
+        for samples in ([], AWKWARD_VALUES, noise):
+            buf = SignalBuffer(samples, sample_rate)
+            path = tmp_path / "t.csv"
+            write_timeseries_csv(buf, path)
+            assert path.read_bytes() == per_row_timeseries_csv(buf)
+
+    def test_spectrum_matches_the_per_row_formatter(self, tmp_path, block_rows):
+        spectra = [power_spectrum(SignalBuffer(np.ones(64), 10e9)),  # all bins but DC on the floor
+                   power_spectrum(SignalBuffer(np.random.default_rng(4).normal(size=99), 9e9)),
+                   Spectrum(np.arange(len(AWKWARD_VALUES), dtype=float), AWKWARD_VALUES, 1.0)]
+        assert np.count_nonzero(spectra[0].power_db == DB_FLOOR) == len(spectra[0]) - 1
+        for spec in spectra:
+            path = tmp_path / "s.csv"
+            write_spectrum_csv(spec, path)
+            assert path.read_bytes() == per_row_csv("freq_hz,power_db", spec.freqs, spec.power_db)
+
+    @pytest.mark.parametrize("filter_id", [1, 2, 3, 4])
+    def test_response_matches_the_per_row_formatter(self, tmp_path, block_rows, filter_id):
+        path = tmp_path / "r.csv"
+        assert run_cli(["response", "--filter", str(filter_id), "--out", str(path)]) == 0
+        stages = design_bandpass(BAND_FILTER_SPECS[filter_id - 1], 10e9)
+        freqs = np.linspace(0.0, 5e9, 2049)
+        mag_db, phase = frequency_response(stages, freqs)
+        assert path.read_bytes() == per_row_csv("freq_hz,magnitude_db,phase_rad",
+                                                freqs, mag_db, phase)
 
 
 class TestCsvWriters:

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim.errors import FrequencyAboveNyquist, InvalidSampleRate, LengthMismatch, SampleRateMismatch
-from jamsim.signal_core import (
-    NoiseSpec,
-    SignalBuffer,
-    ToneSpec,
-    add,
-    gaussian_noise,
-    multi_tone,
-    rayleigh_noise,
-)
+from jamsim.errors import FrequencyAboveNyquist, InvalidSampleRate
+from jamsim.rng import gaussian_stream, rayleigh_stream
+from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec, multi_tone
 
 FS = 10e9
 N = 4096
@@ -59,6 +52,22 @@ class TestMultiTone:
         assert len(bins) == 4
         for f, k in zip(tones_hz, sorted(bins)):
             assert abs(k - f * N / FS) <= 1.0
+
+    def test_two_tones_three_bins_apart_resolve(self):
+        res = FS / N
+        bins = spectral_peak_bins(multi_tone([ToneSpec(500 * res, 2.0), ToneSpec(503 * res, 2.0)],
+                                             FS, N))
+        assert bins == [500, 503]
+
+    def test_two_tones_render_as_the_sum_of_each_alone(self):
+        a, b = ToneSpec(1.2e9, 2.0), ToneSpec(2.3e9, 2.0)
+        both = multi_tone([a, b], FS, N)
+        assert np.array_equal(both.samples, multi_tone([a], FS, N).samples
+                              + multi_tone([b], FS, N).samples)
+        bins = spectral_peak_bins(both)
+        assert len(bins) == 2
+        assert abs(bins[0] - 1.2e9 * N / FS) <= 1.0
+        assert abs(bins[1] - 2.3e9 * N / FS) <= 1.0
 
     def test_empty_tone_list_renders_silence(self):
         buf = multi_tone([], FS, 100)
@@ -123,46 +132,38 @@ class TestToneSpec:
 
 class TestGaussianNoise:
     def test_zero_sigma_is_silence(self):
-        buf = gaussian_noise(NoiseSpec(gaussian_sigma=0.0, seed=1), 1000)
-        assert np.all(buf.samples == 0.0)
+        assert np.all(gaussian_stream(0.0, 1, 1000) == 0.0)
 
     def test_sample_mean_within_standard_error_bound(self):
         # 4 standard errors of the mean for n = 1e5 unit-sigma draws.
-        buf = gaussian_noise(NoiseSpec(gaussian_sigma=1.0, seed=42), 10**5)
-        assert abs(float(np.mean(buf.samples))) < 4.0 / np.sqrt(10**5)
+        samples = gaussian_stream(1.0, 42, 10**5)
+        assert abs(float(np.mean(samples))) < 4.0 / np.sqrt(10**5)
 
     def test_same_seed_bit_identical(self):
-        spec = NoiseSpec(gaussian_sigma=1.0, seed=7)
-        assert gaussian_noise(spec, 4096) == gaussian_noise(spec, 4096)
+        assert np.array_equal(gaussian_stream(1.0, 7, 4096), gaussian_stream(1.0, 7, 4096))
 
     def test_different_seeds_differ(self):
-        a = gaussian_noise(NoiseSpec(gaussian_sigma=1.0, seed=1), 64)
-        b = gaussian_noise(NoiseSpec(gaussian_sigma=1.0, seed=2), 64)
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(gaussian_stream(1.0, 1, 64), gaussian_stream(1.0, 2, 64))
 
     def test_variance_tracks_sigma(self):
         for seed in range(3):
-            buf = gaussian_noise(NoiseSpec(gaussian_sigma=2.0, seed=seed), 10**5)
-            assert np.var(buf.samples) == pytest.approx(4.0, rel=0.05)
+            assert np.var(gaussian_stream(2.0, seed, 10**5)) == pytest.approx(4.0, rel=0.05)
 
 
 class TestRayleighNoise:
     def test_zero_sigma_is_silence(self):
-        buf = rayleigh_noise(NoiseSpec(rayleigh_sigma=0.0, seed=3), 500)
-        assert np.all(buf.samples == 0.0)
+        assert np.all(rayleigh_stream(0.0, 3, 500) == 0.0)
 
     def test_support_is_nonnegative(self):
-        buf = rayleigh_noise(NoiseSpec(rayleigh_sigma=1.5, seed=11), 10**4)
-        assert buf.samples.min() >= 0.0
+        assert rayleigh_stream(1.5, 11, 10**4).min() >= 0.0
 
     def test_sample_mean_matches_analytic_mean(self):
         # Rayleigh(sigma=1) has mean sigma * sqrt(pi/2).
-        buf = rayleigh_noise(NoiseSpec(rayleigh_sigma=1.0, seed=7), 10**5)
-        assert float(np.mean(buf.samples)) == pytest.approx(np.sqrt(np.pi / 2.0), rel=0.01)
+        samples = rayleigh_stream(1.0, 7, 10**5)
+        assert float(np.mean(samples)) == pytest.approx(np.sqrt(np.pi / 2.0), rel=0.01)
 
     def test_same_seed_bit_identical(self):
-        spec = NoiseSpec(rayleigh_sigma=1.0, seed=5)
-        assert rayleigh_noise(spec, 2048) == rayleigh_noise(spec, 2048)
+        assert np.array_equal(rayleigh_stream(1.0, 5, 2048), rayleigh_stream(1.0, 5, 2048))
 
 
 class TestNoiseSpec:
@@ -173,31 +174,3 @@ class TestNoiseSpec:
             NoiseSpec(rayleigh_sigma=-0.1)
         with pytest.raises(ValueError):
             NoiseSpec(seed=-1)
-
-
-class TestAdd:
-    def test_additive_identity(self):
-        a = multi_tone([ToneSpec(1.2e9)], FS, 512)
-        zero = SignalBuffer(np.zeros(512), FS)
-        assert add(a, zero) == a
-
-    def test_additive_inverse_cancels(self):
-        a = multi_tone([ToneSpec(1.2e9)], FS, 512)
-        neg = SignalBuffer(-a.samples, FS)
-        assert np.all(add(a, neg).samples == 0.0)
-
-    def test_sum_of_tones_shows_both_peaks(self):
-        a = multi_tone([ToneSpec(1.2e9, 2.0)], FS, N)
-        b = multi_tone([ToneSpec(2.3e9, 2.0)], FS, N)
-        bins = spectral_peak_bins(add(a, b))
-        assert len(bins) == 2
-        assert abs(bins[0] - 1.2e9 * N / FS) <= 1.0
-        assert abs(bins[1] - 2.3e9 * N / FS) <= 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            add(SignalBuffer([1.0], FS), SignalBuffer([1.0, 2.0], FS))
-
-    def test_rate_mismatch(self):
-        with pytest.raises(SampleRateMismatch):
-            add(SignalBuffer([1.0], FS), SignalBuffer([1.0], FS / 2.0))

@@ -88,6 +88,13 @@ class TestEnvelope:
         with pytest.raises(InvalidWindow):
             envelope(SignalBuffer([1.0], FS), 0)
 
+    @pytest.mark.parametrize("window", [10**12, 10**29])
+    def test_window_longer_than_the_buffer_is_a_running_max(self, window):
+        xs = np.random.default_rng(5).uniform(-5.0, 5.0, 64)
+        buf = SignalBuffer(xs, FS)
+        assert envelope(buf, window) == envelope(buf, len(buf))
+        assert np.array_equal(envelope(buf, window).samples, np.maximum.accumulate(xs))
+
 
 class TestComparator:
     @pytest.mark.parametrize("level,expected", [(1.2, 5.0), (0.5, 0.0), (1.0, 0.0)])
