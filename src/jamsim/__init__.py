@@ -20,6 +20,7 @@ from .errors import (
     InvalidWindow,
     JamSimError,
     LengthMismatch,
+    NonFiniteResult,
     ParseError,
     SampleRateMismatch,
     UnknownKey,

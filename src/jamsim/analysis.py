@@ -56,11 +56,15 @@ def power_spectrum(signal: SignalBuffer) -> Spectrum:
 
 
 def rms(signal: SignalBuffer, skip_fraction: float = 0.0) -> float:
-    """Root mean square after discarding the leading `skip_fraction`."""
+    """Root mean square after discarding the leading `skip_fraction`.
+
+    inf, without a warning, if the squares overflow.
+    """
     if not 0.0 <= skip_fraction < 1.0:
         raise InvalidParameter(f"skip_fraction must lie in [0, 1), got {skip_fraction!r}")
     start = int(skip_fraction * len(signal))
     tail = signal.samples[start:]
     if tail.size == 0:
         raise EmptyMeasurementRegion("nothing left to measure after the skip region")
-    return float(np.sqrt(np.mean(tail * tail)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(tail * tail)))

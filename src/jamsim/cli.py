@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import power_spectrum
-from .errors import InvalidParameter, JamSimError, ParseError
+from .errors import InvalidParameter, JamSimError, NonFiniteResult, ParseError
 from .filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from .pipeline import (
     PipelineConfig,
@@ -218,6 +218,10 @@ def _cmd_run(args) -> int:
                           "refusing to replace it")
     report = run_scenario(build_pipeline(config), scenario)
     manifest = _manifest(scenario, config, report, args.reproducible)
+    try:
+        manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # inf or nan, which strict JSON parsers reject
+        raise NonFiniteResult(f"manifest not written: {exc}") from None
     with _atomic_output(args.out) as out_dir:
         os.mkdir(out_dir)
         for name in ("jammer1", "jammer2"):
@@ -230,7 +234,7 @@ def _cmd_run(args) -> int:
                            os.path.join(out_dir, _RUN_OUTPUTS["input_spectrum"]))
         with open(os.path.join(out_dir, _RUN_OUTPUTS["manifest"]), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            fh.write(manifest_text)
     print(", ".join(f"{band}: {'JAMMING' if report.verdicts[band] else 'idle'}"
                     for band in ("band3", "band40")))
     return 0

@@ -53,6 +53,10 @@ class EmptyMeasurementRegion(JamSimError):
     """Skipping the transient left nothing to measure."""
 
 
+class NonFiniteResult(JamSimError):
+    """A measured result overflowed to inf or nan, so it cannot be written as JSON."""
+
+
 class ParseError(JamSimError):
     """Scenario file is malformed.  Carries the 1-based offending line."""
 

@@ -1,9 +1,13 @@
 """Trigger-gated jamming stage: gain plus Gaussian and Rayleigh noise.
 
 While the gate is high the stage emits gain * signal + noise; while it
-is low the output is exactly 0 V.  The noise streams are generated for
-the full buffer regardless of gating, so runs that differ only in the
-gate stay sample-for-sample comparable.
+is low the output is exactly 0 V.  Noise sample j is a pure function of
+(seed, j), because the splitmix64 streams are counter-based and random
+access by index, so runs that differ only in the gate stay
+sample-for-sample comparable.  That lets the stage draw noise only over
+the span from the first to the last high gate sample, and nothing at all
+while the gate stays low, as the circuit wastes no power when no signal
+is detected.
 """
 
 from __future__ import annotations
@@ -43,9 +47,16 @@ def jam(signal: SignalBuffer, gate: GateLine, config: JammerConfig) -> SignalBuf
         raise SampleRateMismatch(
             f"signal at {signal.sample_rate} Hz but gate at {gate.sample_rate} Hz"
         )
-    noise, n = config.noise, len(signal)
-    g = rng.gaussian_stream(noise.gaussian_sigma, noise.seed, n)
-    r = rng.rayleigh_stream(noise.rayleigh_sigma, noise.seed, n)
-    active = config.gain * signal.samples + g + r
-    out = np.where(gate.levels > 0.0, active, 0.0)
+    levels, noise, n = gate.levels, config.noise, len(signal)
+    # Every high level is the one maximum, so argmax finds the first and,
+    # on the reversed view, the last high sample without an index array.
+    lo = int(np.argmax(levels)) if n else 0
+    if not (n and levels[lo] > 0.0):
+        return SignalBuffer(np.zeros(n), signal.sample_rate)
+    hi = n - int(np.argmax(levels[::-1]))
+    active = (config.gain * signal.samples[lo:hi]
+              + rng.gaussian_stream(noise.gaussian_sigma, noise.seed, hi - lo, lo)
+              + rng.rayleigh_stream(noise.rayleigh_sigma, noise.seed, hi - lo, lo))
+    out = np.zeros(n)
+    np.copyto(out[lo:hi], active, where=levels[lo:hi] > 0.0)
     return SignalBuffer(out, signal.sample_rate)

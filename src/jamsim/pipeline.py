@@ -36,6 +36,11 @@ from .trigger import GateLine, TriggerConfig, trigger_chain
 
 #: Longest buffer whose float64 byte count numpy can index.
 MAX_N_SAMPLES = np.iinfo(np.intp).max // 8
+#: Largest summed tone amplitude (volts) a scenario may ask for.  It is far
+#: above any real voltage, and low enough that every square taken
+#: downstream stays finite: the input spectrum's |X|^2 <= (n * total)^2 even
+#: at MAX_N_SAMPLES, and the RMS of a jammer at the default gain.
+MAX_TOTAL_AMPLITUDE = 1e100
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,10 @@ class Scenario:
         if not self.name:
             raise InvalidParameter("scenario name must be non-empty")
         object.__setattr__(self, "tones", tuple(self.tones))
+        total = sum(tone.amplitude for tone in self.tones)
+        if not total <= MAX_TOTAL_AMPLITUDE:
+            raise InvalidParameter(f"tone amplitudes sum to {total!r} V, above the "
+                                   f"{MAX_TOTAL_AMPLITUDE:g} V limit", "amplitude")
 
 
 @dataclass(frozen=True, eq=False)

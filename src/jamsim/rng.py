@@ -8,8 +8,14 @@ with uint64 arithmetic.  All transforms below are elementwise, which
 makes every stream bit-reproducible for a given seed regardless of how
 many values are drawn per call.
 
-Gaussian values come from Box-Muller on consecutive uniform pairs;
-Rayleigh values from sigma * sqrt(-2 ln U).  Both use ln(1 - u) so the
+Every stream is also random access by index: `start` skips straight to
+sample `start`, so `stream(..., count, start)` equals
+`stream(..., start + count)[start:]` bit for bit without computing the
+skipped samples.
+
+Gaussian values come from Box-Muller on consecutive uniform pairs:
+sample j takes pair j // 2, cos for even j and sin for odd j.  Rayleigh
+values come from sigma * sqrt(-2 ln U).  Both use ln(1 - u) so the
 u == 0 lattice point is safe.
 """
 
@@ -36,40 +42,43 @@ def mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _check_count(count: int) -> None:
+def _check_span(count: int, start: int) -> None:
     if count < 0:
         raise InvalidParameter(f"count must be >= 0, got {count!r}", "count")
+    if start < 0:
+        raise InvalidParameter(f"start must be >= 0, got {start!r}", "start")
 
 
-def raw_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` raw 64-bit outputs of splitmix64 for `seed`."""
-    _check_count(count)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
+def raw_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Raw 64-bit splitmix64 outputs `start .. start+count-1` for `seed`."""
+    _check_span(count, start)
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)  # wraps mod 2**64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
-def uniform_stream(seed: int, count: int) -> np.ndarray:
+def uniform_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. doubles in [0, 1) with 53-bit resolution."""
-    return (raw_stream(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (raw_stream(seed, count, start) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def gaussian_stream(sigma: float, seed: int, count: int) -> np.ndarray:
-    """i.i.d. Normal(0, sigma^2) draws via Box-Muller."""
-    _check_count(count)  # before rounding up to whole pairs hides a -1
-    pairs = (count + 1) // 2
-    u = uniform_stream(mix64(seed ^ _GAUSSIAN_TAG), 2 * pairs)
+def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """i.i.d. Normal(0, sigma^2) draws via Box-Muller, samples `start` onward."""
+    _check_span(count, start)  # before rounding out to whole pairs hides a -1
+    skip = start % 2  # an odd start begins on the sin half of a pair
+    pairs = (skip + count + 1) // 2
+    u = uniform_stream(mix64(seed ^ _GAUSSIAN_TAG), 2 * pairs, start - skip)
     radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
     theta = (2.0 * np.pi) * u[1::2]
     out = np.empty(2 * pairs)
     out[0::2] = radius * np.cos(theta)
     out[1::2] = radius * np.sin(theta)
-    return sigma * out[:count]
+    return sigma * out[skip:skip + count]
 
 
-def rayleigh_stream(sigma: float, seed: int, count: int) -> np.ndarray:
-    """i.i.d. Rayleigh(scale=sigma) draws, all >= 0."""
-    u = uniform_stream(mix64(seed ^ _RAYLEIGH_TAG), count)
+def rayleigh_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """i.i.d. Rayleigh(scale=sigma) draws, all >= 0, samples `start` onward."""
+    u = uniform_stream(mix64(seed ^ _RAYLEIGH_TAG), count, start)
     return sigma * np.sqrt(-2.0 * np.log1p(-u))

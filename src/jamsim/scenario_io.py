@@ -131,7 +131,8 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
     with _blame(lines):
         config = PipelineConfig(**{"seed": default_seed, **settings["sim"], **settings["jammer"]},
                                 trigger=TriggerConfig(**settings["trigger"]))
-    return Scenario(name=name, tones=tuple(ToneSpec(**t) for t in tones)), config
+        scenario = Scenario(name=name, tones=tuple(ToneSpec(**t) for t in tones))
+    return scenario, config
 
 
 def render_scenario_file(scenario: Scenario, config: PipelineConfig) -> str:

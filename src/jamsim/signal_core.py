@@ -120,7 +120,13 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
                 f"tone at {tone.frequency} Hz is not below Nyquist ({sample_rate / 2.0} Hz)"
             )
     t = np.arange(n_samples) / sample_rate
-    acc = np.zeros(n_samples)
+    # Every tone, the first too, is added into zeros: 0.0 + -0.0 is 0.0.
+    acc, tmp = np.zeros(n_samples), np.empty(n_samples)
     for tone in tones:
-        acc += tone.amplitude * np.sin(2.0 * np.pi * tone.frequency * t + tone.phase)
+        # a * sin(2 pi f t + phi), evaluated in that order in one scratch buffer
+        np.multiply(2.0 * np.pi * tone.frequency, t, out=tmp)
+        tmp += tone.phase
+        np.sin(tmp, out=tmp)
+        tmp *= tone.amplitude
+        acc += tmp
     return SignalBuffer(acc, sample_rate)

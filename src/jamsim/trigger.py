@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .errors import InvalidParameter, InvalidWindow
 from .filterbank import LOWEST_PASSBAND_HZ
@@ -84,17 +83,25 @@ def full_wave_rectify(signal: SignalBuffer) -> SignalBuffer:
 
 
 def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
-    """Trailing maximum over `window` samples, truncated at the start."""
+    """Trailing maximum over `window` samples, truncated at the start.
+
+    env[i] = max(x[max(0, i - window + 1) .. i]).  Built by doubling: a
+    span-s maximum becomes a span-2s one with one shifted np.maximum, and
+    one last overlapping step of two span-s maxima covers the remaining
+    window - s samples.  O(n log window) and exact, since max does not
+    round.  Two buffers take turns, so no step reads what it writes.
+    """
     if window < 1:
         raise InvalidWindow(f"envelope window must be >= 1, got {window}")
-    if len(signal) == 0:
-        return signal
+    x = signal.samples
     # Any window of len(signal) or more reaches back to sample 0 everywhere.
-    window = min(window, len(signal))
-    # origin shifts the max window so it ends at the current sample.
-    env = maximum_filter1d(signal.samples, size=window,
-                           origin=(window - 1) - window // 2,
-                           mode="constant", cval=-np.inf)
+    window = min(window, x.size)
+    env, spare, span = x.copy(), np.empty_like(x), 1
+    while span < window:
+        step = min(span, window - span)
+        spare[:step] = env[:step]
+        np.maximum(env[step:], env[:-step], out=spare[step:])
+        env, spare, span = spare, env, span + step
     return SignalBuffer(env, signal.sample_rate)
 
 

@@ -1,5 +1,6 @@
 """Every invalid input ends in a typed error and exit code, never a traceback."""
 
+import json
 import warnings
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from jamsim.cli import run_cli
 from jamsim.errors import InvalidParameter, InvalidValue, ParseError
-from jamsim.pipeline import PipelineConfig
+from jamsim.pipeline import MAX_TOTAL_AMPLITUDE, PipelineConfig, Scenario
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.scenario_io import parse_scenario_file
-from jamsim.signal_core import multi_tone
+from jamsim.signal_core import ToneSpec, multi_tone
 
 TONE = "[tones]\nfreq_mhz = 1747.5\n"
 
@@ -88,6 +89,52 @@ class TestHugeEnvelopeWindow:
         scn = tmp_path / "w.scn"
         scn.write_text(TONE + f"[sim]\nn_samples = 64\n[trigger]\nenvelope_window = {window}\n")
         assert run_cli(["run", str(scn), "--out", str(tmp_path / "d")]) == 0
+
+
+class TestHugeValues:
+    @pytest.mark.parametrize("text,line", [
+        (TONE + "amplitude_v = 1e307\n", 3),
+        ("[tones]\nfreq_mhz = 1200\namplitude_v = 1e308\n"
+         "freq_mhz = 1300\namplitude_v = 1e308\n", 5),
+    ], ids=["one-tone-1e307", "two-tones-1e308"])
+    def test_summed_tone_amplitude_over_the_limit_exits_1(self, tmp_path, capsys, text, line):
+        scn = tmp_path / "huge.scn"
+        scn.write_text(text)
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 1
+        assert f"line {line}: " in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_amplitude_at_the_limit_runs(self, tmp_path):
+        scn = tmp_path / "limit.scn"
+        scn.write_text(TONE + f"amplitude_v = {MAX_TOTAL_AMPLITUDE!r}\n[sim]\nn_samples = 256\n")
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 0
+        json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+
+    def test_overflowing_result_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # A finite gain of 1e300 puts the jammer's squares past the float range.
+        scn = tmp_path / "gain.scn"
+        scn.write_text(TONE + "[jammer]\ngain = 1e300\n")
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 2
+        assert "simulation error" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_scenario_rejects_the_sum_directly(self):
+        tones = [ToneSpec(1.2e9, MAX_TOTAL_AMPLITUDE), ToneSpec(1.3e9, MAX_TOTAL_AMPLITUDE)]
+        with pytest.raises(InvalidParameter):
+            Scenario(name="huge", tones=tones)
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
 
 
 class TestInvalidFileValues:

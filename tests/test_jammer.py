@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamsim.errors import LengthMismatch, SampleRateMismatch
 from jamsim.jammer import JammerConfig, jam
 from jamsim.rng import gaussian_stream, rayleigh_stream
-from jamsim.signal_core import NoiseSpec, ToneSpec, multi_tone
+from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec, multi_tone
 from jamsim.trigger import GateLine
 
 FS = 10e9
@@ -75,9 +77,9 @@ class TestTransferFunction:
         assert a == b
 
     def test_gated_run_matches_ungated_run_on_active_samples(self):
-        # The noise stream spans the whole buffer regardless of gating,
-        # so a partially gated run agrees with the fully gated one
-        # wherever the gate is high.
+        # Noise sample j depends only on (seed, j), however much of the
+        # buffer the gate covers, so a partially gated run agrees with
+        # the fully gated one wherever the gate is high.
         cfg = JammerConfig()
         signal = tone_2v()
         levels = np.where(np.arange(N) % 3 == 0, 5.0, 0.0)
@@ -85,6 +87,53 @@ class TestTransferFunction:
         full = jam(signal, full_gate(), cfg)
         active = levels > 0.0
         assert np.array_equal(partial.samples[active], full.samples[active])
+
+
+def whole_buffer_jam(signal, gate, config):
+    """The jammer as first written: both streams over the whole buffer, then masked."""
+    noise, n = config.noise, len(signal)
+    g = gaussian_stream(noise.gaussian_sigma, noise.seed, n)
+    r = rayleigh_stream(noise.rayleigh_sigma, noise.seed, n)
+    active = config.gain * signal.samples + g + r
+    return np.where(gate.levels > 0.0, active, 0.0)
+
+
+def _levels(n, *runs):
+    """0/5 V levels, high over each half-open (start, stop) run."""
+    levels = np.zeros(n)
+    for start, stop in runs:
+        levels[start:stop] = 5.0
+    return levels
+
+
+class TestGatedSpanMatchesWholeBuffer:
+    @pytest.mark.parametrize("levels", [
+        _levels(N),
+        _levels(N, (0, N)),
+        _levels(N, (0, 1)),
+        _levels(N, (N - 1, N)),
+        _levels(N, (1, 2)),
+        _levels(N, (1500, N)),
+        _levels(N, (37, 38), (101, 900), (901, 903), (2047, 3001), (4000, 4095)),
+    ], ids=["all-low", "all-high", "first-only", "last-only", "odd-single",
+            "one-rise", "rises-and-falls"])
+    @pytest.mark.parametrize("seed", [0, 42, 43, 2**63 + 5])
+    def test_bit_identical(self, levels, seed):
+        cfg = JammerConfig(gain=5.0, noise=NoiseSpec(1.0, 0.5, seed=seed))
+        gate = GateLine(levels, FS)
+        out = jam(tone_2v(), gate, cfg)
+        assert out.samples.tobytes() == whole_buffer_jam(tone_2v(), gate, cfg).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), density=st.floats(0.0, 1.0),
+           draw_seed=st.integers(0, 2**32 - 1), seed=st.sampled_from([0, 42, 43, 2**63 + 5]))
+    def test_bit_identical_on_random_gates(self, n, density, draw_seed, seed):
+        draws = np.random.default_rng(draw_seed)
+        signal = SignalBuffer(draws.normal(size=n), FS)
+        gate = GateLine(np.where(draws.random(n) < density, 5.0, 0.0), FS)
+        cfg = JammerConfig(gain=3.0, noise=NoiseSpec(1.0, 1.0, seed=seed))
+        assert jam(signal, gate, cfg).samples.tobytes() == \
+            whole_buffer_jam(signal, gate, cfg).tobytes()
 
 
 class TestValidation:

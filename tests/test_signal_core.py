@@ -69,6 +69,23 @@ class TestMultiTone:
         assert abs(bins[0] - 1.2e9 * N / FS) <= 1.0
         assert abs(bins[1] - 2.3e9 * N / FS) <= 1.0
 
+    @settings(max_examples=50)
+    @given(st.lists(st.builds(ToneSpec, st.floats(1e6, 4.9e9), st.just(0.0) | st.floats(0.0, 8.0),
+                              st.floats(-3.0, 3.0)), max_size=5),
+           st.integers(2, 300))
+    def test_matches_one_expression_per_tone_bit_for_bit(self, tones, n):
+        t = np.arange(n) / FS
+        want = np.zeros(n)
+        for tone in tones:
+            want += tone.amplitude * np.sin(2.0 * np.pi * tone.frequency * t + tone.phase)
+        assert multi_tone(tones, FS, n).samples.tobytes() == want.tobytes()
+
+    def test_silent_tone_renders_positive_zeros(self):
+        # 0 V times a negative sine is -0.0; adding it into zeros gives 0.0,
+        # which the CSV writer prints without a sign.
+        buf = multi_tone([ToneSpec(1e9, 0.0)], FS, 16)
+        assert not np.any(np.signbit(buf.samples))
+
     def test_empty_tone_list_renders_silence(self):
         buf = multi_tone([], FS, 100)
         assert len(buf) == 100

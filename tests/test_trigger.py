@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.ndimage import maximum_filter1d
 
 from jamsim.errors import InvalidWindow
 from jamsim.filterbank import FilterBank
@@ -94,6 +95,41 @@ class TestEnvelope:
         buf = SignalBuffer(xs, FS)
         assert envelope(buf, window) == envelope(buf, len(buf))
         assert np.array_equal(envelope(buf, window).samples, np.maximum.accumulate(xs))
+
+
+def scipy_envelope(xs, window):
+    """The envelope as scipy computed it: maximum_filter1d with the window's end on each sample."""
+    window = min(window, xs.size)
+    return maximum_filter1d(xs, size=window, origin=(window - 1) - window // 2,
+                            mode="constant", cval=-np.inf)
+
+
+@st.composite
+def length_and_window(draw):
+    n = draw(st.integers(1, 5000))
+    return n, draw(st.integers(1, n + 5))
+
+
+class TestEnvelopeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(length_and_window(), st.integers(0, 2**32 - 1), st.booleans())
+    @example((1, 1), 0, False)
+    @example((4097, 4102), 1, False)
+    @example((1000, 585), 2, True)
+    def test_matches_maximum_filter1d(self, n_window, draw_seed, ties):
+        n, window = n_window
+        draws = np.random.default_rng(draw_seed)
+        # Rounded draws repeat values, so ties between window entries occur.
+        xs = draws.integers(0, 6, n) * 0.5 if ties else draws.normal(size=n)
+        got = envelope(SignalBuffer(xs, FS), window).samples
+        assert got.tobytes() == scipy_envelope(xs, window).tobytes()
+
+    @pytest.mark.parametrize("window", [10**12, 10**29])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 4097])
+    def test_clamped_huge_window_matches_maximum_filter1d(self, n, window):
+        xs = np.random.default_rng(n).normal(size=n)
+        got = envelope(SignalBuffer(xs, FS), window).samples
+        assert got.tobytes() == scipy_envelope(xs, window).tobytes()
 
 
 class TestComparator:
