@@ -27,7 +27,6 @@ from .errors import (
 )
 from .filterbank import (
     BAND_FILTER_SPECS,
-    FilterBank,
     FilterSpec,
     FilterStages,
     apply_filter,

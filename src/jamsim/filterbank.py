@@ -203,25 +203,3 @@ def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
     # sosfilt rejects a read-only coefficient buffer.
     return SignalBuffer(sosfilt(stages.sos.copy(), signal.samples), signal.sample_rate)
 
-
-@dataclass(frozen=True, eq=False)
-class FilterBank:
-    """All four band-plan filters designed at one common sample rate."""
-
-    filters: tuple[FilterStages, ...]
-
-    def __post_init__(self):
-        specs = tuple(f.spec for f in self.filters)
-        if specs != BAND_FILTER_SPECS:
-            raise InvalidParameter(f"filter bank must hold {BAND_FILTER_SPECS} in order, "
-                                   f"got {specs}")
-
-    @classmethod
-    def design(cls, sample_rate: float, order: int = DEFAULT_FILTER_ORDER) -> "FilterBank":
-        return cls(tuple(design_bandpass(s, sample_rate, order) for s in BAND_FILTER_SPECS))
-
-    def by_id(self, filter_id: int) -> FilterStages:
-        """The filter with `filter_id`; the constructor keeps ids 1..4 in order."""
-        if filter_id not in (1, 2, 3, 4):
-            raise KeyError(f"no filter with id {filter_id}")
-        return self.filters[filter_id - 1]

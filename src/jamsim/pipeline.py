@@ -1,5 +1,8 @@
-"""End-to-end wiring: input -> filter bank -> triggers -> gated jammers.
+"""End-to-end wiring: input -> four band filters -> triggers -> gated jammers.
 
+A `Pipeline` is its `PipelineConfig` plus the four filters designed from
+it in `BAND_FILTER_SPECS` order (``filters[k - 1]`` is filter k);
+`run_scenario` reads the trigger and jammer settings from the config.
 Band 3 is FDD, so detection and jamming use different filters: the
 uplink filter (2) feeds trigger 1 and the downlink filter (3) feeds
 jammer 1.  Band 40 is TDD and shares one allocation, so filter 4 feeds
@@ -18,13 +21,21 @@ import numpy as np
 
 from .analysis import rms
 from .errors import InvalidParameter
-from .filterbank import DEFAULT_FILTER_ORDER, FilterBank, apply_filter, check_filter_order
+from .filterbank import (
+    BAND_FILTER_SPECS,
+    DEFAULT_FILTER_ORDER,
+    FilterStages,
+    apply_filter,
+    check_filter_order,
+    design_bandpass,
+)
 from .jammer import DEFAULT_GAIN, DEFAULT_NOISE_SIGMA, JammerConfig, jam
 from .signal_core import (
     DEFAULT_N_SAMPLES,
     DEFAULT_SAMPLE_RATE,
     DEFAULT_SEED,
     DEFAULT_TONE_AMPLITUDE,
+    MAX_TOTAL_AMPLITUDE,
     NoiseSpec,
     SignalBuffer,
     ToneSpec,
@@ -36,11 +47,6 @@ from .trigger import GateLine, TriggerConfig, trigger_chain
 
 #: Longest buffer whose float64 byte count numpy can index.
 MAX_N_SAMPLES = np.iinfo(np.intp).max // 8
-#: Largest summed tone amplitude (volts) a scenario may ask for.  It is far
-#: above any real voltage, and low enough that every square taken
-#: downstream stays finite: the input spectrum's |X|^2 <= (n * total)^2 even
-#: at MAX_N_SAMPLES, and the RMS of a jammer at the default gain.
-MAX_TOTAL_AMPLITUDE = 1e100
 
 
 @dataclass(frozen=True)
@@ -124,21 +130,27 @@ class ScenarioReport:
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    """An immutable, ready-to-run realization of a `PipelineConfig`."""
+    """A `PipelineConfig` plus its four designed filters, in `BAND_FILTER_SPECS` order."""
 
     config: PipelineConfig
-    filters: FilterBank
-    trigger_config: TriggerConfig
-    jammer3: JammerConfig
-    jammer40: JammerConfig
+    filters: tuple[FilterStages, ...]
+
+    def __post_init__(self):
+        specs = tuple(f.spec for f in self.filters)
+        if specs != BAND_FILTER_SPECS:
+            raise InvalidParameter(f"pipeline filters must be {BAND_FILTER_SPECS} in order, "
+                                   f"got {specs}")
+        want = (self.config.sample_rate, self.config.filter_order)
+        for f in self.filters:
+            if (f.sample_rate, 2 * len(f.sos)) != want:
+                raise InvalidParameter(f"filter {f.spec.id} is designed at {f.sample_rate} Hz, "
+                                       f"order {2 * len(f.sos)}; the config asks for {want}")
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
-    """Design all four filters; resolve the trigger window and both jammers."""
-    bank = FilterBank.design(config.sample_rate, config.filter_order)
-    return Pipeline(config=config, filters=bank,
-                    trigger_config=config.trigger.resolved(config.sample_rate),
-                    jammer3=config.jammer3, jammer40=config.jammer40)
+    """Design the four band filters for `config`."""
+    return Pipeline(config, tuple(design_bandpass(spec, config.sample_rate, config.filter_order)
+                                  for spec in BAND_FILTER_SPECS))
 
 
 def _settle(gate: GateLine, skip_fraction: float) -> tuple[float, bool]:
@@ -158,15 +170,13 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     cfg = pipeline.config
 
     source = multi_tone(scenario.tones, cfg.sample_rate, cfg.n_samples)
-    band3_full = apply_filter(pipeline.filters.by_id(1), source)
-    band3_uplink = apply_filter(pipeline.filters.by_id(2), source)
-    band3_downlink = apply_filter(pipeline.filters.by_id(3), source)
-    band40 = apply_filter(pipeline.filters.by_id(4), source)
+    band3_full, band3_uplink, band3_downlink, band40 = (
+        apply_filter(stages, source) for stages in pipeline.filters)
 
-    gate1 = trigger_chain(band3_uplink, pipeline.trigger_config)
-    gate2 = trigger_chain(band40, pipeline.trigger_config)
-    jam1 = jam(band3_downlink, gate1, pipeline.jammer3)
-    jam2 = jam(band40, gate2, pipeline.jammer40)
+    gate1 = trigger_chain(band3_uplink, cfg.trigger)
+    gate2 = trigger_chain(band40, cfg.trigger)
+    jam1 = jam(band3_downlink, gate1, cfg.jammer3)
+    jam2 = jam(band40, gate2, cfg.jammer40)
 
     skip = cfg.measure_skip_fraction
     level1, stable1 = _settle(gate1, skip)
@@ -190,8 +200,8 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
         },
         gates={"trigger1": gate1, "trigger2": gate2},
         verdicts={
-            "band3": level1 == pipeline.trigger_config.high_level,
-            "band40": level2 == pipeline.trigger_config.high_level,
+            "band3": level1 == cfg.trigger.high_level,
+            "band40": level2 == cfg.trigger.high_level,
         },
     )
 

@@ -24,6 +24,11 @@ DEFAULT_N_SAMPLES = 4096
 DEFAULT_TONE_AMPLITUDE = 2.0
 #: Noise seed of a run that names none (the Band 3 jammer's stream).
 DEFAULT_SEED = 42
+#: Largest summed tone amplitude, and largest noise sigma, in volts.  It is
+#: far above any real voltage, and low enough that every square taken
+#: downstream stays finite: the input spectrum's |X|^2 <= (n * total)^2 even
+#: at the longest buffer, and the RMS of a jammer at the default gain.
+MAX_TOTAL_AMPLITUDE = 1e100
 
 
 def check_sample_rate(sample_rate: float) -> float:
@@ -95,10 +100,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.gaussian_sigma) or self.gaussian_sigma < 0.0:
-            raise InvalidParameter("gaussian_sigma must be >= 0", "gaussian_sigma")
-        if not np.isfinite(self.rayleigh_sigma) or self.rayleigh_sigma < 0.0:
-            raise InvalidParameter("rayleigh_sigma must be >= 0", "rayleigh_sigma")
+        for name in ("gaussian_sigma", "rayleigh_sigma"):
+            if not 0.0 <= getattr(self, name) <= MAX_TOTAL_AMPLITUDE:
+                raise InvalidParameter(f"{name} must lie in [0, {MAX_TOTAL_AMPLITUDE:g}] V, "
+                                       f"got {getattr(self, name)!r}", name)
         if self.seed < 0:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed!r}", "seed")
 

@@ -21,18 +21,17 @@ DEFAULT_THRESHOLD = 1.0
 DEFAULT_HIGH_LEVEL = 5.0
 
 
-def default_envelope_window(sample_rate: float,
-                            lowest_frequency_hz: float = LOWEST_PASSBAND_HZ) -> int:
+def default_envelope_window(sample_rate: float) -> int:
     """Samples covering one period of the slowest in-band frequency."""
-    return max(1, math.ceil(sample_rate / lowest_frequency_hz))
+    return max(1, math.ceil(sample_rate / LOWEST_PASSBAND_HZ))
 
 
 @dataclass(frozen=True)
 class TriggerConfig:
     """Comparator threshold/high level and the envelope window length.
 
-    `envelope_window=None` means "one period of the slowest in-band
-    frequency at the buffer's sample rate", resolved when a chain runs.
+    `envelope_window=None` means `default_envelope_window` of the
+    buffer's sample rate: one period of the slowest in-band frequency.
     """
 
     threshold: float = DEFAULT_THRESHOLD
@@ -46,13 +45,6 @@ class TriggerConfig:
             raise InvalidParameter("high_level must exceed threshold", "threshold", "high_level")
         if self.envelope_window is not None and self.envelope_window < 1:
             raise InvalidWindow("envelope_window must be >= 1 sample", "envelope_window")
-
-    def resolved(self, sample_rate: float) -> "TriggerConfig":
-        """Fill a concrete envelope window for `sample_rate`."""
-        if self.envelope_window is not None:
-            return self
-        return TriggerConfig(self.threshold, self.high_level,
-                             default_envelope_window(sample_rate))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,5 +105,6 @@ def comparator(env: SignalBuffer, config: TriggerConfig) -> GateLine:
 
 def trigger_chain(signal: SignalBuffer, config: TriggerConfig) -> GateLine:
     """Rectify, track the envelope, compare: the whole trigger circuit."""
-    cfg = config.resolved(signal.sample_rate)
-    return comparator(envelope(full_wave_rectify(signal), cfg.envelope_window), cfg)
+    window = (default_envelope_window(signal.sample_rate) if config.envelope_window is None
+              else config.envelope_window)
+    return comparator(envelope(full_wave_rectify(signal), window), config)

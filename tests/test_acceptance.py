@@ -14,7 +14,7 @@ import pytest
 
 from jamsim.analysis import power_spectrum, rms
 from jamsim.cli import run_cli
-from jamsim.filterbank import BAND_FILTER_SPECS, FilterBank, apply_filter, frequency_response
+from jamsim.filterbank import BAND_FILTER_SPECS, apply_filter, frequency_response
 from jamsim.pipeline import Scenario, build_pipeline, builtin_scenarios, default_pipeline_config, run_scenario
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
@@ -69,9 +69,9 @@ def test_criterion_2_band_edge_conformance():
                     lo = mid
             return 0.5 * (lo + hi)
 
-        bank = FilterBank.design(FS)
+        filters = build_pipeline(default_pipeline_config()).filters
         for spec in BAND_FILTER_SPECS:
-            stages = bank.by_id(spec.id)
+            stages = filters[spec.id - 1]
             centre_db = frequency_response(stages, [spec.center * 1e6])[0][0]
             assert abs(centre_db) <= 1.0
             low = edge(stages, spec.center * 1e6, spec.band_low * 1e6 - 200e6)
@@ -83,11 +83,11 @@ def test_criterion_2_band_edge_conformance():
 
 def test_criterion_3_cross_band_rejection():
     with criterion("3 cross-band rejection >= 40 dB"):
-        bank = FilterBank.design(FS)
-        assert frequency_response(bank.by_id(2), [2355e6])[0][0] <= -40.0
-        assert frequency_response(bank.by_id(3), [2355e6])[0][0] <= -40.0
-        assert frequency_response(bank.by_id(4), [1747.5e6])[0][0] <= -40.0
-        assert frequency_response(bank.by_id(4), [1842.5e6])[0][0] <= -40.0
+        filters = build_pipeline(default_pipeline_config()).filters
+        assert frequency_response(filters[1], [2355e6])[0][0] <= -40.0
+        assert frequency_response(filters[2], [2355e6])[0][0] <= -40.0
+        assert frequency_response(filters[3], [1747.5e6])[0][0] <= -40.0
+        assert frequency_response(filters[3], [1842.5e6])[0][0] <= -40.0
 
 
 def test_criterion_4_trigger_contract():
@@ -100,9 +100,9 @@ def test_criterion_4_trigger_contract():
         # A detected 2 V in-band tone holds the gate at 5 V with zero
         # dropouts once the envelope window has filled.
         window = default_envelope_window(FS)
-        bank = FilterBank.design(FS)
+        filters = build_pipeline(default_pipeline_config()).filters
         tone = multi_tone([ToneSpec(1747.5e6, 2.0)], FS, N)
-        gate = trigger_chain(apply_filter(bank.by_id(2), tone), cfg)
+        gate = trigger_chain(apply_filter(filters[1], tone), cfg)
         first_high = int(np.argmax(gate.levels > 0.0))
         assert gate.levels[first_high] == 5.0
         assert first_high < N // 4
@@ -145,9 +145,9 @@ def _check_rectifier_properties():
                               abs(c) * once.samples)
 
 
-def _check_filter_linearity_and_stability(bank):
+def _check_filter_linearity_and_stability(filters):
     rnd = np.random.default_rng(6)
-    stages = bank.by_id(3)
+    stages = filters[2]
     for _ in range(10):
         a, b = rnd.uniform(-10.0, 10.0, 2)
         x = rnd.uniform(-10.0, 10.0, 1024)
@@ -159,7 +159,7 @@ def _check_filter_linearity_and_stability(bank):
     impulse = np.zeros(4097)
     impulse[0] = 1.0
     for spec in BAND_FILTER_SPECS:
-        h = apply_filter(bank.by_id(spec.id), SignalBuffer(impulse, FS)).samples
+        h = apply_filter(filters[spec.id - 1], SignalBuffer(impulse, FS)).samples
         assert abs(h[4096]) < 1e-6 * np.abs(h).max()
 
 
@@ -201,9 +201,9 @@ def _check_sweep_selectivity():
 
 def test_criterion_6_property_suites():
     with criterion("6 property suites"):
-        bank = FilterBank.design(FS)
+        filters = build_pipeline(default_pipeline_config()).filters
         _check_rectifier_properties()
-        _check_filter_linearity_and_stability(bank)
+        _check_filter_linearity_and_stability(filters)
         _check_parseval()
         _check_noise_moments()
         _check_sweep_selectivity()

@@ -13,7 +13,6 @@ from jamsim.errors import (
 )
 from jamsim.filterbank import (
     BAND_FILTER_SPECS,
-    FilterBank,
     FilterSpec,
     FilterStages,
     apply_filter,
@@ -57,12 +56,12 @@ def df2t_reference(stages, x):
     return y
 
 
-BANK = FilterBank.design(FS)
+FILTERS = tuple(design_bandpass(spec, FS) for spec in BAND_FILTER_SPECS)
 
 
 @pytest.fixture(scope="module")
-def default_bank():
-    return BANK
+def default_filters():
+    return FILTERS
 
 
 class TestDesign:
@@ -115,8 +114,8 @@ class TestDesign:
         with pytest.raises(BandAboveNyquist):
             design_bandpass(BAND_FILTER_SPECS[3], 4.0e9)
 
-    def test_sections_are_stable(self, default_bank):
-        for stages in default_bank.filters:
+    def test_sections_are_stable(self, default_filters):
+        for stages in default_filters:
             for _, _, _, a0, a1, a2 in stages.sos:
                 assert a0 == 1.0 and abs(a2) < 1.0 and abs(a1) < 1.0 + a2
 
@@ -168,8 +167,8 @@ class TestDesign:
 
 
 class TestFrequencyResponse:
-    def test_bandpass_blocks_dc(self, default_bank):
-        for stages in default_bank.filters:
+    def test_bandpass_blocks_dc(self, default_filters):
+        for stages in default_filters:
             assert mag_db_at(stages, 0.0) <= -40.0
 
     def test_identity_filter_is_flat(self):
@@ -179,64 +178,64 @@ class TestFrequencyResponse:
         assert np.allclose(mags, 0.0, atol=1e-12)
         assert np.allclose(phases, 0.0, atol=1e-12)
 
-    def test_uplink_filter_centre_unity(self, default_bank):
-        assert abs(mag_db_at(default_bank.by_id(2), 1747.5e6)) <= 1.0
+    def test_uplink_filter_centre_unity(self, default_filters):
+        assert abs(mag_db_at(default_filters[1], 1747.5e6)) <= 1.0
 
-    def test_out_of_range_frequency_rejected(self, default_bank):
-        stages = default_bank.by_id(1)
+    def test_out_of_range_frequency_rejected(self, default_filters):
+        stages = default_filters[0]
         with pytest.raises(FrequencyAboveNyquist):
             frequency_response(stages, [FS / 2.0 + 1.0])
         with pytest.raises(FrequencyAboveNyquist):
             frequency_response(stages, [-1.0])
 
-    def test_cross_band_rejection_at_least_40db(self, default_bank):
-        assert mag_db_at(default_bank.by_id(2), 2355e6) <= -40.0
-        assert mag_db_at(default_bank.by_id(3), 2355e6) <= -40.0
-        assert mag_db_at(default_bank.by_id(4), 1747.5e6) <= -40.0
-        assert mag_db_at(default_bank.by_id(4), 1842.5e6) <= -40.0
+    def test_cross_band_rejection_at_least_40db(self, default_filters):
+        assert mag_db_at(default_filters[1], 2355e6) <= -40.0
+        assert mag_db_at(default_filters[2], 2355e6) <= -40.0
+        assert mag_db_at(default_filters[3], 1747.5e6) <= -40.0
+        assert mag_db_at(default_filters[3], 1842.5e6) <= -40.0
 
 
 class TestApplyFilter:
-    def test_zero_in_zero_out(self, default_bank):
-        out = apply_filter(default_bank.by_id(2), SignalBuffer(np.zeros(1024), FS))
+    def test_zero_in_zero_out(self, default_filters):
+        out = apply_filter(default_filters[1], SignalBuffer(np.zeros(1024), FS))
         assert np.all(out.samples == 0.0)
 
-    def test_rate_mismatch_rejected(self, default_bank):
+    def test_rate_mismatch_rejected(self, default_filters):
         with pytest.raises(SampleRateMismatch):
-            apply_filter(default_bank.by_id(1), SignalBuffer([1.0, 2.0], FS / 2.0))
+            apply_filter(default_filters[0], SignalBuffer([1.0, 2.0], FS / 2.0))
 
     @pytest.mark.parametrize("spec", BAND_FILTER_SPECS, ids=lambda s: f"filter{s.id}")
-    def test_centre_tone_steady_state_amplitude(self, spec, default_bank):
+    def test_centre_tone_steady_state_amplitude(self, spec, default_filters):
         tone = multi_tone([ToneSpec(spec.center * 1e6, 2.0)], FS, 4096)
-        out = apply_filter(default_bank.by_id(spec.id), tone)
+        out = apply_filter(default_filters[spec.id - 1], tone)
         steady = np.abs(out.samples[1024:]).max()
         assert steady == pytest.approx(2.0, rel=0.12)
 
-    def test_out_of_band_tones_leave_small_residue(self, default_bank):
+    def test_out_of_band_tones_leave_small_residue(self, default_filters):
         tones = [ToneSpec(f, 2.0) for f in (1.2e9, 1.5e9, 1.6e9, 3.0e9)]
-        out = apply_filter(default_bank.by_id(2), multi_tone(tones, FS, 4096))
+        out = apply_filter(default_filters[1], multi_tone(tones, FS, 4096))
         tail = out.samples[1024:]
         assert float(np.sqrt(np.mean(tail**2))) < 0.05
 
-    def test_matches_per_sample_reference_loop(self, default_bank):
+    def test_matches_per_sample_reference_loop(self, default_filters):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1.0, 1.0, 256)
-        stages = default_bank.by_id(3)
+        stages = default_filters[2]
         fast = apply_filter(stages, SignalBuffer(x, FS)).samples
         slow = df2t_reference(stages, x)
         assert np.allclose(fast, slow, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("spec", BAND_FILTER_SPECS, ids=lambda s: f"filter{s.id}")
-    def test_impulse_response_decays_below_1e6_of_peak(self, spec, default_bank):
+    def test_impulse_response_decays_below_1e6_of_peak(self, spec, default_filters):
         impulse = np.zeros(4097)
         impulse[0] = 1.0
-        h = apply_filter(default_bank.by_id(spec.id), SignalBuffer(impulse, FS)).samples
+        h = apply_filter(default_filters[spec.id - 1], SignalBuffer(impulse, FS)).samples
         assert abs(h[4096]) < 1e-6 * np.abs(h).max()
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.integers(0, 2**31 - 1))
     def test_linearity_to_1e9_volts(self, a, b, seed):
-        stages = BANK.by_id(2)
+        stages = FILTERS[1]
         rng = np.random.default_rng(seed)
         x = rng.uniform(-10.0, 10.0, 512)
         y = rng.uniform(-10.0, 10.0, 512)
@@ -245,21 +244,3 @@ class TestApplyFilter:
                     + b * apply_filter(stages, SignalBuffer(y, FS)).samples)
         assert np.max(np.abs(combined - separate)) < 1e-9
 
-
-class TestFilterBank:
-    def test_holds_exactly_the_four_bands(self, default_bank):
-        assert tuple(f.spec.id for f in default_bank.filters) == (1, 2, 3, 4)
-        assert tuple((f.spec.band_low, f.spec.band_high) for f in default_bank.filters) == (
-            (1710.0, 1880.0), (1710.0, 1785.0), (1805.0, 1880.0), (2305.0, 2405.0))
-
-    def test_wrong_contents_rejected(self, default_bank):
-        with pytest.raises(ValueError):
-            FilterBank(default_bank.filters[:3])
-
-    def test_by_id_returns_the_filter_with_that_id(self, default_bank):
-        assert [default_bank.by_id(k).spec.id for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
-
-    def test_by_id_unknown(self, default_bank):
-        for filter_id in (0, -1, 5):
-            with pytest.raises(KeyError):
-                default_bank.by_id(filter_id)

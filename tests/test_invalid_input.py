@@ -116,6 +116,32 @@ class TestHugeValues:
             assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 0
         json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
 
+    @pytest.mark.parametrize("key,value", [
+        ("rayleigh_sigma_v", "1e308"), ("gaussian_sigma_v", "1e200")])
+    def test_noise_sigma_over_the_limit_exits_1_naming_its_line(self, tmp_path, capsys,
+                                                                 key, value):
+        scn = tmp_path / "noise.scn"
+        scn.write_text(TONE + f"[jammer]\n{key} = {value}\n")
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 1
+        err = assert_one_line_error(capsys)
+        assert "line 4: " in err and key.removesuffix("_v") in err
+        assert not out.exists()
+
+    def test_noise_sigma_at_the_limit_runs(self, tmp_path):
+        scn = tmp_path / "limit.scn"
+        scn.write_text(TONE + f"[sim]\nn_samples = 256\n[jammer]\n"
+                       f"gaussian_sigma_v = {MAX_TOTAL_AMPLITUDE!r}\n"
+                       f"rayleigh_sigma_v = {MAX_TOTAL_AMPLITUDE!r}\n")
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+        assert manifest["results"]["jammer1_rms_v"] > MAX_TOTAL_AMPLITUDE
+
     def test_overflowing_result_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # A finite gain of 1e300 puts the jammer's squares past the float range.
         scn = tmp_path / "gain.scn"
@@ -170,6 +196,7 @@ class TestTypedConfigErrors:
         {"filter_order": 3}, {"filter_order": 0}, {"n_samples": 0}, {"n_samples": 1},
         {"n_samples": 2**63}, {"seed": -1},
         {"gain": 0.5}, {"rayleigh_sigma": -1.0}, {"measure_skip_fraction": 1.0},
+        {"gaussian_sigma": 1e101}, {"rayleigh_sigma": float("inf")},
     ])
     def test_pipeline_config_raises_invalid_parameter(self, kwargs):
         with pytest.raises(InvalidParameter):

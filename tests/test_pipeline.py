@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jamsim.errors import BandAboveNyquist, FrequencyAboveNyquist
-from jamsim.filterbank import BAND_FILTER_SPECS, frequency_response
+from jamsim.errors import BandAboveNyquist, FrequencyAboveNyquist, InvalidParameter
+from jamsim.filterbank import BAND_FILTER_SPECS, FilterStages, frequency_response
 from jamsim.jammer import JammerConfig
 from jamsim.pipeline import (
+    Pipeline,
     PipelineConfig,
     Scenario,
     build_pipeline,
@@ -15,6 +16,7 @@ from jamsim.pipeline import (
     run_scenario,
 )
 from jamsim.signal_core import NoiseSpec, ToneSpec
+from jamsim.trigger import TriggerConfig
 
 
 @pytest.fixture(scope="module")
@@ -28,10 +30,19 @@ def single_tone_scenario(freq_mhz, name="probe"):
 
 class TestBuild:
     def test_structure(self, pipeline):
-        assert tuple(f.spec.id for f in pipeline.filters.filters) == (1, 2, 3, 4)
-        assert pipeline.trigger_config.envelope_window == 6
+        assert len(pipeline.filters) == 4
+        for stages, spec in zip(pipeline.filters, BAND_FILTER_SPECS):
+            assert isinstance(stages, FilterStages)
+            assert stages.spec == spec
+            assert stages.sample_rate == pipeline.config.sample_rate
+            assert 2 * len(stages.sos) == pipeline.config.filter_order
         assert pipeline.config.jammer3.noise.seed == 42
         assert pipeline.config.jammer40.noise.seed == 43
+
+    def test_holds_exactly_the_four_bands(self, pipeline):
+        assert tuple(f.spec.id for f in pipeline.filters) == (1, 2, 3, 4)
+        assert tuple((f.spec.band_low, f.spec.band_high) for f in pipeline.filters) == (
+            (1710.0, 1880.0), (1710.0, 1785.0), (1805.0, 1880.0), (2305.0, 2405.0))
 
     def test_sample_rate_too_low_for_the_bands(self):
         with pytest.raises(BandAboveNyquist):
@@ -39,8 +50,7 @@ class TestBuild:
 
     def test_low_order_still_rejects_the_other_band(self):
         loose = build_pipeline(default_pipeline_config(filter_order=2))
-        uplink = loose.filters.by_id(2)
-        band40 = loose.filters.by_id(4)
+        uplink, band40 = loose.filters[2 - 1], loose.filters[4 - 1]
         assert frequency_response(uplink, [2355e6])[0][0] <= -15.0
         assert frequency_response(band40, [1842.5e6])[0][0] <= -15.0
 
@@ -48,14 +58,44 @@ class TestBuild:
         config = replace(default_pipeline_config(gain=2.0, gaussian_sigma=0.5), seed=100)
         assert config.jammer3 == JammerConfig(gain=2.0, noise=NoiseSpec(0.5, 1.0, 100))
         assert config.jammer40 == JammerConfig(gain=2.0, noise=NoiseSpec(0.5, 1.0, 101))
-        p = build_pipeline(config)
-        assert (p.jammer3, p.jammer40) == (config.jammer3, config.jammer40)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(n_samples=0)
         with pytest.raises(ValueError):
             PipelineConfig(measure_skip_fraction=1.0)
+
+
+class TestPipelineFollowsItsConfig:
+    """A pipeline runs exactly as its config says, or cannot be built."""
+
+    @pytest.mark.parametrize("change,verdict", [
+        ({"seed": 7, "gain": 2.0}, True),
+        ({"seed": 7, "gain": 2.0, "trigger": TriggerConfig(threshold=4.0)}, False),
+    ], ids=["seed-gain", "seed-gain-threshold"])
+    def test_replaced_config_runs_like_a_fresh_build(self, pipeline, change, verdict):
+        config = replace(pipeline.config, **change)
+        scenario = builtin_scenarios()[3]
+        got = run_scenario(replace(pipeline, config=config), scenario)
+        want = run_scenario(build_pipeline(config), scenario)
+        assert got.verdicts == want.verdicts == {"band3": verdict, "band40": verdict}
+        assert (got.jammer1_rms, got.jammer2_rms) == (want.jammer1_rms, want.jammer2_rms)
+        assert got.branch_buffers == want.branch_buffers
+
+    @pytest.mark.parametrize("change", [{"filter_order": 4}, {"sample_rate": 9e9}],
+                             ids=["filter_order", "sample_rate"])
+    def test_replaced_rate_or_order_is_rejected(self, pipeline, change):
+        with pytest.raises(InvalidParameter):
+            replace(pipeline, config=replace(pipeline.config, **change))
+
+    def test_three_filters_are_rejected(self, pipeline):
+        with pytest.raises(InvalidParameter):
+            Pipeline(pipeline.config, pipeline.filters[:3])
+
+    def test_reordered_filters_are_rejected(self, pipeline):
+        f1, f2, f3, f4 = pipeline.filters
+        with pytest.raises(InvalidParameter):
+            Pipeline(pipeline.config, (f1, f3, f2, f4))
 
 
 class TestBuiltinScenarios:

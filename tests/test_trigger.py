@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.ndimage import maximum_filter1d
 
 from jamsim.errors import InvalidWindow
-from jamsim.filterbank import FilterBank
+from jamsim.filterbank import BAND_FILTER_SPECS, apply_filter, design_bandpass
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 from jamsim.trigger import (
     GateLine,
@@ -17,7 +17,6 @@ from jamsim.trigger import (
     full_wave_rectify,
     trigger_chain,
 )
-from jamsim.filterbank import apply_filter
 
 FS = 10e9
 
@@ -156,9 +155,9 @@ class TestComparator:
 
 class TestTriggerChain:
     def test_detected_uplink_tone_gives_steady_high_gate(self):
-        bank = FilterBank.design(FS)
+        uplink = design_bandpass(BAND_FILTER_SPECS[1], FS)
         tone = multi_tone([ToneSpec(1.74e9, 2.0)], FS, 4096)
-        gate = trigger_chain(apply_filter(bank.by_id(2), tone), TriggerConfig())
+        gate = trigger_chain(apply_filter(uplink, tone), TriggerConfig())
         first_high = int(np.argmax(gate.levels > 0.0))
         assert gate.levels[first_high] == 5.0
         assert first_high < 1024  # fires during the filter ramp-up
@@ -169,9 +168,9 @@ class TestTriggerChain:
         assert np.all(gate.levels == 0.0)
 
     def test_out_of_band_residue_stays_below_threshold(self):
-        bank = FilterBank.design(FS)
+        uplink = design_bandpass(BAND_FILTER_SPECS[1], FS)
         tones = [ToneSpec(f, 2.0) for f in (1.2e9, 1.5e9, 1.6e9, 3.0e9)]
-        residue = apply_filter(bank.by_id(2), multi_tone(tones, FS, 4096))
+        residue = apply_filter(uplink, multi_tone(tones, FS, 4096))
         gate = trigger_chain(residue, TriggerConfig())
         assert np.all(gate.levels == 0.0)
 
@@ -181,12 +180,14 @@ class TestConfigAndGate:
         assert default_envelope_window(10e9) == 6
         assert default_envelope_window(5e9) == 3
 
-    def test_resolution_fills_window(self):
-        cfg = TriggerConfig()
-        assert cfg.envelope_window is None
-        assert cfg.resolved(10e9).envelope_window == 6
-        pinned = TriggerConfig(envelope_window=9)
-        assert pinned.resolved(10e9).envelope_window == 9
+    def test_unset_window_is_the_default_and_a_set_one_is_used(self):
+        # A 100-sample 2 V pulse holds a trailing max of w samples high for 100 + w - 1.
+        x = SignalBuffer(np.r_[np.zeros(100), np.full(100, 2.0), np.zeros(100)], FS)
+        default = trigger_chain(x, TriggerConfig())
+        pinned = trigger_chain(x, TriggerConfig(envelope_window=9))
+        assert TriggerConfig().envelope_window is None
+        assert int(np.count_nonzero(default.levels)) == 100 + default_envelope_window(FS) - 1
+        assert int(np.count_nonzero(pinned.levels)) == 100 + 9 - 1
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
