@@ -7,24 +7,7 @@ and buried in Gaussian + Rayleigh noise.
 """
 
 from .analysis import Spectrum, power_spectrum, rms
-from .errors import (
-    BandAboveNyquist,
-    BufferTooShort,
-    DesignUnstable,
-    EmptyMeasurementRegion,
-    FrequencyAboveNyquist,
-    InvalidOrder,
-    InvalidParameter,
-    InvalidSampleRate,
-    InvalidValue,
-    InvalidWindow,
-    JamSimError,
-    LengthMismatch,
-    NonFiniteResult,
-    ParseError,
-    SampleRateMismatch,
-    UnknownKey,
-)
+from .errors import InvalidParameter, JamSimError, ParseError
 from .filterbank import (
     BAND_FILTER_SPECS,
     FilterSpec,

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BufferTooShort, EmptyMeasurementRegion, InvalidParameter
-from .signal_core import SignalBuffer
+from .errors import InvalidParameter
+from .signal_core import SignalBuffer, _as_readonly_f64
 
 #: dB value substituted for zero-power bins so output stays finite.
 DB_FLOOR = -200.0
@@ -22,8 +22,8 @@ class Spectrum:
     resolution: float
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=np.float64)
-        power = np.asarray(self.power_db, dtype=np.float64)
+        freqs = _as_readonly_f64(self.freqs)
+        power = _as_readonly_f64(self.power_db)
         if freqs.shape != power.shape:
             raise InvalidParameter("freqs and power_db must align")
         object.__setattr__(self, "freqs", freqs)
@@ -41,7 +41,7 @@ def power_spectrum(signal: SignalBuffer) -> Spectrum:
     """
     n = len(signal)
     if n < 2:
-        raise BufferTooShort(f"power_spectrum needs at least 2 samples, got {n}")
+        raise InvalidParameter(f"power_spectrum needs at least 2 samples, got {n}")
     spec = np.fft.rfft(signal.samples)
     power = np.abs(spec) ** 2 / float(n) ** 2
     # Fold the negative-frequency half into the interior bins.
@@ -65,6 +65,6 @@ def rms(signal: SignalBuffer, skip_fraction: float = 0.0) -> float:
     start = int(skip_fraction * len(signal))
     tail = signal.samples[start:]
     if tail.size == 0:
-        raise EmptyMeasurementRegion("nothing left to measure after the skip region")
+        raise InvalidParameter("nothing left to measure after the skip region")
     with np.errstate(over="ignore"):
         return float(np.sqrt(np.mean(tail * tail)))

@@ -10,10 +10,14 @@ Commands::
 `run` writes jammer1/jammer2/trigger1/trigger2 time series, the input
 spectrum and a JSON manifest into DIR, atomically: the directory is
 either complete or untouched.  An existing DIR is replaced only if it is
-empty or holds a jamsim manifest.json.  Exit codes: 0 ok, 1 usage error
-(including any invalid setting, with its line for a scenario file), 2
-simulation error.  The JAMSIM_SEED environment variable overrides the
-default seed; an explicit [sim] seed or --seed flag wins over it.
+empty or holds a jamsim manifest.json.  The JAMSIM_SEED environment
+variable overrides the default seed; an explicit [sim] seed or --seed
+flag wins over it.
+
+Exit codes: 0 ok; 1 for any invalid input or usage, an `InvalidParameter`
+(a `ParseError` also names its scenario-file line); 2 for a failed
+simulation or write: any other `JamSimError`, a `MemoryError` or an
+`OSError`.  The error's type picks the code, not where it was raised.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import power_spectrum
-from .errors import InvalidParameter, JamSimError, NonFiniteResult, ParseError
+from .errors import InvalidParameter, JamSimError, ParseError
 from .filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from .pipeline import (
     PipelineConfig,
@@ -59,13 +63,9 @@ _RUN_OUTPUTS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidParameter(message)
 
 
 def _build_parser() -> _Parser:
@@ -97,17 +97,17 @@ def _ambient_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise InvalidParameter(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
     if (args.scenario is None) == (args.builtin is None):
-        raise _UsageError("run needs exactly one of a scenario file or --builtin N")
+        raise InvalidParameter("run needs exactly one of a scenario file or --builtin N")
     ambient = _ambient_seed()
     if args.builtin is not None:
         builtins = builtin_scenarios()
         if not 1 <= args.builtin <= len(builtins):
-            raise _UsageError(f"--builtin must be in 1..{len(builtins)}")
+            raise InvalidParameter(f"--builtin must be in 1..{len(builtins)}")
         scenario = builtins[args.builtin - 1]
         config = PipelineConfig(seed=ambient)
     else:
@@ -115,7 +115,7 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _UsageError(f"cannot read scenario file: {exc}") from None
+            raise InvalidParameter(f"cannot read scenario file: {exc}") from None
         scenario, config = parse_scenario_file(text, default_seed=ambient)
     flags = {"seed": args.seed, "sample_rate": args.fs, "n_samples": args.samples}
     return scenario, replace(config, **{k: v for k, v in flags.items() if v is not None})
@@ -209,19 +209,16 @@ def _atomic_output(target: str):
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario, config = _resolve_run(args)
-    except InvalidParameter as exc:
-        raise _UsageError(str(exc)) from None
+    scenario, config = _resolve_run(args)
     if os.path.lexists(args.out) and not _is_jamsim_output(args.out):
-        raise _UsageError(f"--out {args.out} exists and is not a jamsim output directory; "
-                          "refusing to replace it")
+        raise InvalidParameter(f"--out {args.out} exists and is not a jamsim output directory; "
+                               "refusing to replace it")
     report = run_scenario(build_pipeline(config), scenario)
     manifest = _manifest(scenario, config, report, args.reproducible)
     try:
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # inf or nan, which strict JSON parsers reject
-        raise NonFiniteResult(f"manifest not written: {exc}") from None
+        raise JamSimError(f"manifest not written: {exc}") from None
     with _atomic_output(args.out) as out_dir:
         os.mkdir(out_dir)
         for name in ("jammer1", "jammer2"):
@@ -249,7 +246,7 @@ def _cmd_scenarios() -> int:
 
 def _cmd_response(args) -> int:
     if not 1 <= args.filter <= 4:
-        raise _UsageError("--filter must be in 1..4")
+        raise InvalidParameter("--filter must be in 1..4")
     stages = design_bandpass(BAND_FILTER_SPECS[args.filter - 1], DEFAULT_SAMPLE_RATE)
     freqs = np.linspace(0.0, stages.sample_rate / 2.0, 2049)
     mag_db, phase = frequency_response(stages, freqs)
@@ -269,12 +266,12 @@ def run_cli(argv=None) -> int:
             return _cmd_scenarios()
         if args.command == "response":
             return _cmd_response(args)
-        raise _UsageError("missing command (run, scenarios, response)")
-    except _UsageError as exc:
-        print(f"jamsim: error: {exc}", file=sys.stderr)
-        return 1
+        raise InvalidParameter("missing command (run, scenarios, response)")
     except ParseError as exc:
         print(f"jamsim: scenario file error: {exc}", file=sys.stderr)
+        return 1
+    except InvalidParameter as exc:
+        print(f"jamsim: error: {exc}", file=sys.stderr)
         return 1
     except (JamSimError, MemoryError) as exc:  # MemoryError: a buffer too large to allocate
         print(f"jamsim: simulation error: {exc}", file=sys.stderr)

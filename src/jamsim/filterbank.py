@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import sosfilt
 
-from .errors import (
-    BandAboveNyquist,
-    DesignUnstable,
-    FrequencyAboveNyquist,
-    InvalidOrder,
-    InvalidParameter,
-    SampleRateMismatch,
-)
+from .errors import InvalidParameter, JamSimError
 from .signal_core import SignalBuffer, check_sample_rate
 
 DEFAULT_FILTER_ORDER = 6
@@ -83,13 +76,13 @@ class FilterStages:
         if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
             raise InvalidParameter("sos must be an array of rows [b0, b1, b2, 1, a1, a2]")
         if not np.isfinite(sos).all():
-            raise DesignUnstable("non-finite section coefficient")
+            raise JamSimError("non-finite section coefficient")
         a1, a2 = sos[:, 4], sos[:, 5]
         # Poles strictly inside the unit circle (stability triangle).
         unstable = np.flatnonzero(~((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2)))
         if unstable.size:
             i = unstable[0]
-            raise DesignUnstable(f"section {i} has poles on or outside the unit circle "
+            raise JamSimError(f"section {i} has poles on or outside the unit circle "
                                  f"(a1={a1[i]:.17g}, a2={a2[i]:.17g})")
         sos.setflags(write=False)
         object.__setattr__(self, "sos", sos)
@@ -102,7 +95,7 @@ def _pair_into_sections(z_poles: np.ndarray) -> np.ndarray:
     pairs = [(-2.0 * float(np.real(p)), float(np.abs(p)) ** 2) for p in upper]
     pairs += [(-(r1 + r2), r1 * r2) for r1, r2 in zip(reals[0::2], reals[1::2])]
     if 2 * len(pairs) != z_poles.size:
-        raise DesignUnstable("pole set did not split into conjugate pairs")
+        raise JamSimError("pole set did not split into conjugate pairs")
     return np.array(pairs, dtype=np.float64)
 
 
@@ -113,13 +106,13 @@ def _section_responses(sos: np.ndarray, z) -> np.ndarray:
 
 
 def check_filter_order(order: int) -> None:
-    """InvalidOrder unless `order` is an even integer >= 2."""
+    """InvalidParameter unless `order` is an even integer >= 2."""
     if order < 2 or order % 2 != 0:
-        raise InvalidOrder(f"filter order must be even and >= 2, got {order!r}", "filter_order")
+        raise InvalidParameter(f"filter order must be even and >= 2, got {order!r}", "filter_order")
 
 
 # At extreme sample rates the design overflows or loses all precision;
-# every such design ends in DesignUnstable, so numpy's warnings add nothing.
+# every such design ends in JamSimError, so numpy's warnings add nothing.
 @np.errstate(all="ignore")
 def design_bandpass(spec: FilterSpec, sample_rate: float,
                     order: int = DEFAULT_FILTER_ORDER) -> FilterStages:
@@ -134,9 +127,8 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     f_low = spec.band_low * 1e6
     f_high = spec.band_high * 1e6
     if f_high >= sample_rate / 2.0:
-        raise BandAboveNyquist(
-            f"band edge {spec.band_high} MHz is not below Nyquist at fs={sample_rate} Hz"
-        )
+        raise InvalidParameter(f"band edge {spec.band_high} MHz is not below Nyquist "
+                               f"at fs={sample_rate} Hz")
     n = order // 2
 
     # Pre-warp the band edges so the bilinear transform lands the
@@ -167,13 +159,13 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     zc = np.exp(-2j * math.atan(math.sqrt(w0_sq) / (2.0 * sample_rate)))
     gain = np.abs(_section_responses(sos, zc))[:, 0]
     if not np.all((gain > 0.0) & np.isfinite(gain)):
-        raise DesignUnstable("section response degenerate at band centre")
+        raise JamSimError("section response degenerate at band centre")
     sos[:, :3] /= gain[:, None]
 
     stages = FilterStages(sos=sos, sample_rate=sample_rate, spec=spec)
     centre_db = frequency_response(stages, [spec.center * 1e6])[0][0]
     if not -1.0 <= centre_db <= 0.5:
-        raise DesignUnstable(f"cascade gain at centre is {centre_db:.3f} dB, expected ~0 dB")
+        raise JamSimError(f"cascade gain at centre is {centre_db:.3f} dB, expected ~0 dB")
     return stages
 
 
@@ -185,7 +177,7 @@ def frequency_response(stages: FilterStages, freqs) -> tuple[np.ndarray, np.ndar
     """
     f = np.asarray(freqs, dtype=np.float64).reshape(-1)
     if f.size and (f.min() < 0.0 or f.max() > stages.sample_rate / 2.0):
-        raise FrequencyAboveNyquist("response frequencies must lie in [0, fs/2]")
+        raise InvalidParameter("response frequencies must lie in [0, fs/2]")
     z = np.exp(-2j * np.pi * f / stages.sample_rate)
     h = np.prod(_section_responses(stages.sos, z), axis=0)
     mag_db = 20.0 * np.log10(np.maximum(np.abs(h), 1e-15))
@@ -195,9 +187,8 @@ def frequency_response(stages: FilterStages, freqs) -> tuple[np.ndarray, np.ndar
 def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
     """Run the cascade over a buffer (direct-form II transposed, zero state)."""
     if signal.sample_rate != stages.sample_rate:
-        raise SampleRateMismatch(
-            f"buffer at {signal.sample_rate} Hz vs filter designed for {stages.sample_rate} Hz"
-        )
+        raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
+                               f"{stages.sample_rate} Hz")
     if len(signal) == 0:
         return SignalBuffer(np.zeros(0), signal.sample_rate)
     # sosfilt rejects a read-only coefficient buffer.

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import InvalidParameter, LengthMismatch, SampleRateMismatch
-from .signal_core import DEFAULT_SEED, NoiseSpec, SignalBuffer
+from .errors import InvalidParameter
+from .signal_core import DEFAULT_SEED, MAX_TOTAL_AMPLITUDE, NoiseSpec, SignalBuffer
 from .trigger import GateLine
 
 DEFAULT_GAIN = 5.0
@@ -35,18 +35,18 @@ class JammerConfig:
     def __post_init__(self):
         # gain >= 1 so the stage never attenuates; gain == 1 is the
         # degenerate identity configuration used for calibration.
-        if not np.isfinite(self.gain) or self.gain < 1.0:
-            raise InvalidParameter(f"jammer gain must be >= 1, got {self.gain!r}", "gain")
+        if not 1.0 <= self.gain <= MAX_TOTAL_AMPLITUDE:
+            raise InvalidParameter(f"jammer gain must lie in [1, {MAX_TOTAL_AMPLITUDE:g}], "
+                                   f"got {self.gain!r}", "gain")
 
 
 def jam(signal: SignalBuffer, gate: GateLine, config: JammerConfig) -> SignalBuffer:
     """Amplify and add noise where the gate is high; emit exact 0 elsewhere."""
     if len(signal) != len(gate):
-        raise LengthMismatch(f"signal has {len(signal)} samples but gate has {len(gate)}")
+        raise InvalidParameter(f"signal has {len(signal)} samples but gate has {len(gate)}")
     if signal.sample_rate != gate.sample_rate:
-        raise SampleRateMismatch(
-            f"signal at {signal.sample_rate} Hz but gate at {gate.sample_rate} Hz"
-        )
+        raise InvalidParameter(f"signal at {signal.sample_rate} Hz but gate at "
+                               f"{gate.sample_rate} Hz")
     levels, noise, n = gate.levels, config.noise, len(signal)
     # Every high level is the one maximum, so argmax finds the first and,
     # on the reversed view, the last high sample without an index array.

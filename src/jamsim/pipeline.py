@@ -47,6 +47,9 @@ from .trigger import GateLine, TriggerConfig, trigger_chain
 
 #: Longest buffer whose float64 byte count numpy can index.
 MAX_N_SAMPLES = np.iinfo(np.intp).max // 8
+#: Leading fraction of each gate and jammer output left out of the settled
+#: measurements, so the filters' start-up transient does not count.
+MEASURE_SKIP_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,6 @@ class PipelineConfig:
     gain: float = DEFAULT_GAIN
     gaussian_sigma: float = DEFAULT_NOISE_SIGMA
     rayleigh_sigma: float = DEFAULT_NOISE_SIGMA
-    measure_skip_fraction: float = 0.25
 
     def __post_init__(self):
         check_sample_rate(self.sample_rate)
@@ -73,9 +75,12 @@ class PipelineConfig:
         if not 2 <= self.n_samples <= MAX_N_SAMPLES:
             raise InvalidParameter(f"n_samples must lie in 2..{MAX_N_SAMPLES}, "
                                    f"got {self.n_samples!r}", "n_samples")
-        if not 0.0 <= self.measure_skip_fraction < 1.0:
-            raise InvalidParameter("measure_skip_fraction must lie in [0, 1)")
         self._jammer(self.seed)  # checks gain, both sigmas and seed
+
+    @property
+    def measure_skip_fraction(self) -> float:
+        """`MEASURE_SKIP_FRACTION`, the same for every config."""
+        return MEASURE_SKIP_FRACTION
 
     def _jammer(self, seed: int) -> JammerConfig:
         return JammerConfig(self.gain, NoiseSpec(self.gaussian_sigma, self.rayleigh_sigma, seed))
@@ -130,27 +135,20 @@ class ScenarioReport:
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    """A `PipelineConfig` plus its four designed filters, in `BAND_FILTER_SPECS` order."""
+    """A `PipelineConfig` plus the four filters designed from it, in `BAND_FILTER_SPECS` order."""
 
     config: PipelineConfig
-    filters: tuple[FilterStages, ...]
+    filters: tuple[FilterStages, ...] = field(init=False)
 
     def __post_init__(self):
-        specs = tuple(f.spec for f in self.filters)
-        if specs != BAND_FILTER_SPECS:
-            raise InvalidParameter(f"pipeline filters must be {BAND_FILTER_SPECS} in order, "
-                                   f"got {specs}")
-        want = (self.config.sample_rate, self.config.filter_order)
-        for f in self.filters:
-            if (f.sample_rate, 2 * len(f.sos)) != want:
-                raise InvalidParameter(f"filter {f.spec.id} is designed at {f.sample_rate} Hz, "
-                                       f"order {2 * len(f.sos)}; the config asks for {want}")
+        cfg = self.config
+        object.__setattr__(self, "filters", tuple(
+            design_bandpass(spec, cfg.sample_rate, cfg.filter_order) for spec in BAND_FILTER_SPECS))
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
     """Design the four band filters for `config`."""
-    return Pipeline(config, tuple(design_bandpass(spec, config.sample_rate, config.filter_order)
-                                  for spec in BAND_FILTER_SPECS))
+    return Pipeline(config)
 
 
 def _settle(gate: GateLine, skip_fraction: float) -> tuple[float, bool]:
@@ -178,7 +176,7 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     jam1 = jam(band3_downlink, gate1, cfg.jammer3)
     jam2 = jam(band40, gate2, cfg.jammer40)
 
-    skip = cfg.measure_skip_fraction
+    skip = MEASURE_SKIP_FRACTION
     level1, stable1 = _settle(gate1, skip)
     level2, stable2 = _settle(gate2, skip)
 

@@ -39,7 +39,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .analysis import Spectrum
-from .errors import InvalidParameter, InvalidValue, ParseError, UnknownKey
+from .errors import InvalidParameter, ParseError
 from .pipeline import PipelineConfig, Scenario
 from .signal_core import DEFAULT_SEED, SignalBuffer, ToneSpec
 from .trigger import TriggerConfig
@@ -64,9 +64,9 @@ def _parse_number(key: str, value: str, line: int) -> float | int:
             return int(value, 0)
         out = float(value)
     except ValueError:
-        raise InvalidValue(f"cannot parse {key} value {value!r}", line) from None
+        raise ParseError(f"cannot parse {key} value {value!r}", line) from None
     if not math.isfinite(out):
-        raise InvalidValue(f"{key} must be finite, got {value!r}", line)
+        raise ParseError(f"{key} must be finite, got {value!r}", line)
     return out
 
 
@@ -79,7 +79,7 @@ def _blame(lines: dict[str, int]):
         hit = [lines[f] for f in exc.fields if f in lines]
         if not hit:
             raise
-        raise InvalidValue(str(exc), max(hit)) from None
+        raise ParseError(str(exc), max(hit)) from None
 
 
 def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
@@ -98,7 +98,7 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             if section not in _SECTION_KEYS:
-                raise UnknownKey(f"unknown section [{section}]", lineno)
+                raise ParseError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
@@ -106,9 +106,9 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
             raise ParseError("key appears before any [section] header", lineno)
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _SECTION_KEYS[section]:
-            raise UnknownKey(f"unknown key {key!r} in section [{section}]", lineno)
+            raise ParseError(f"unknown key {key!r} in section [{section}]", lineno)
         if not value:
-            raise InvalidValue(f"empty value for {key!r}", lineno)
+            raise ParseError(f"empty value for {key!r}", lineno)
         if section == "scenario":
             name = value
             continue
@@ -120,7 +120,7 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
         target = tones[-1] if section == "tones" else settings[section]
         field = _SECTION_KEYS[section][key]
         if field in target:
-            raise InvalidValue(f"duplicate key {key!r}", lineno)
+            raise ParseError(f"duplicate key {key!r}", lineno)
         number = _parse_number(key, value, lineno)
         target[field] = number * 1e6 if key == "freq_mhz" else number
         lines[field] = lineno
@@ -136,11 +136,7 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
 
 
 def render_scenario_file(scenario: Scenario, config: PipelineConfig) -> str:
-    """Serialize back to the file format (inverse of parse_scenario_file).
-
-    Every setting round-trips but `measure_skip_fraction`, which the
-    format does not carry.
-    """
+    """Serialize back to the file format; every setting round-trips through parse_scenario_file."""
     lines = ["[scenario]", f"name = {scenario.name}", "", "[tones]"]
     for tone in scenario.tones:
         lines.append(f"freq_mhz = {tone.frequency / 1e6!r}")

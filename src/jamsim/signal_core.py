@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrequencyAboveNyquist, InvalidParameter, InvalidSampleRate
+from .errors import InvalidParameter
 
 #: Simulation defaults: 10 GS/s comfortably clears twice the highest
 #: tone of interest (3 GHz), and 4096 samples span 409.6 ns.
@@ -24,19 +24,22 @@ DEFAULT_N_SAMPLES = 4096
 DEFAULT_TONE_AMPLITUDE = 2.0
 #: Noise seed of a run that names none (the Band 3 jammer's stream).
 DEFAULT_SEED = 42
-#: Largest summed tone amplitude, and largest noise sigma, in volts.  It is
-#: far above any real voltage, and low enough that every square taken
-#: downstream stays finite: the input spectrum's |X|^2 <= (n * total)^2 even
-#: at the longest buffer, and the RMS of a jammer at the default gain.
+#: Largest summed tone amplitude and largest noise sigma, in volts, and
+#: largest jammer gain.  It is far above any real voltage or gain, and low
+#: enough that no stage's samples overflow: a jammer's gain * signal + noise
+#: stays near 1e200 at most.  The squares taken downstream stay finite too:
+#: the input spectrum's |X|^2 <= (n * total)^2 even at the longest buffer,
+#: and the RMS of a jammer at the default gain.  At a larger gain that RMS
+#: may overflow to inf, which is a failed simulation, not an invalid input.
 MAX_TOTAL_AMPLITUDE = 1e100
 
 
 def check_sample_rate(sample_rate: float) -> float:
-    """`sample_rate` as a float; InvalidSampleRate unless finite and > 0."""
+    """`sample_rate` as a float; InvalidParameter unless finite and > 0."""
     rate = float(sample_rate)
     if not np.isfinite(rate) or rate <= 0.0:
-        raise InvalidSampleRate(f"sample_rate must be finite and > 0, got {sample_rate!r}",
-                                "sample_rate")
+        raise InvalidParameter(f"sample_rate must be finite and > 0, got {sample_rate!r}",
+                               "sample_rate")
     return rate
 
 
@@ -121,9 +124,8 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
         raise InvalidParameter(f"n_samples must be >= 0, got {n_samples!r}", "n_samples")
     for tone in tones:
         if tone.frequency >= sample_rate / 2.0:
-            raise FrequencyAboveNyquist(
-                f"tone at {tone.frequency} Hz is not below Nyquist ({sample_rate / 2.0} Hz)"
-            )
+            raise InvalidParameter(f"tone at {tone.frequency} Hz is not below Nyquist "
+                                   f"({sample_rate / 2.0} Hz)")
     t = np.arange(n_samples) / sample_rate
     # Every tone, the first too, is added into zeros: 0.0 + -0.0 is 0.0.
     acc, tmp = np.zeros(n_samples), np.empty(n_samples)

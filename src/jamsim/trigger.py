@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidWindow
+from .errors import InvalidParameter
 from .filterbank import LOWEST_PASSBAND_HZ
-from .signal_core import SignalBuffer
+from .signal_core import SignalBuffer, _as_readonly_f64
 
 DEFAULT_THRESHOLD = 1.0
 DEFAULT_HIGH_LEVEL = 5.0
@@ -44,7 +44,7 @@ class TriggerConfig:
         if not self.high_level > self.threshold:
             raise InvalidParameter("high_level must exceed threshold", "threshold", "high_level")
         if self.envelope_window is not None and self.envelope_window < 1:
-            raise InvalidWindow("envelope_window must be >= 1 sample", "envelope_window")
+            raise InvalidParameter("envelope_window must be >= 1 sample", "envelope_window")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +56,7 @@ class GateLine:
     high_level: float = DEFAULT_HIGH_LEVEL
 
     def __post_init__(self):
-        arr = np.array(self.levels, dtype=np.float64, copy=True).reshape(-1)
-        arr.setflags(write=False)
+        arr = _as_readonly_f64(self.levels)
         if not np.all((arr == 0.0) | (arr == self.high_level)):
             raise InvalidParameter("gate levels must be exactly 0 or exactly high_level")
         object.__setattr__(self, "levels", arr)
@@ -84,7 +83,7 @@ def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
     round.  Two buffers take turns, so no step reads what it writes.
     """
     if window < 1:
-        raise InvalidWindow(f"envelope window must be >= 1, got {window}")
+        raise InvalidParameter(f"envelope window must be >= 1, got {window}")
     x = signal.samples
     # Any window of len(signal) or more reaches back to sample 0 everywhere.
     window = min(window, x.size)

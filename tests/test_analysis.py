@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamsim.analysis import DB_FLOOR, Spectrum, power_spectrum, rms
-from jamsim.errors import BufferTooShort, EmptyMeasurementRegion
+from jamsim.errors import InvalidParameter
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 
 FS = 10e9
@@ -52,8 +52,14 @@ class TestPowerSpectrum:
         assert np.all(np.diff(spec.freqs) > 0.0)
         assert spec.resolution == FS / 256
 
+    @pytest.mark.parametrize("name", ["freqs", "power_db"])
+    def test_arrays_are_read_only(self, name):
+        spec = power_spectrum(SignalBuffer(np.ones(256), FS))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec, name)[0] = 123.0
+
     def test_too_short_rejected(self):
-        with pytest.raises(BufferTooShort):
+        with pytest.raises(InvalidParameter, match="at least 2 samples"):
             power_spectrum(SignalBuffer([1.0], FS))
 
 
@@ -72,9 +78,9 @@ class TestRms:
         assert rms(buf, 0.0) == pytest.approx(2.0 / np.sqrt(2.0), abs=1e-3)
 
     def test_empty_region_rejected(self):
-        with pytest.raises(EmptyMeasurementRegion):
+        with pytest.raises(InvalidParameter, match="nothing left to measure"):
             rms(SignalBuffer([], FS))
-        with pytest.raises(EmptyMeasurementRegion):
+        with pytest.raises(InvalidParameter, match="nothing left to measure"):
             rms(SignalBuffer([], FS), 0.5)
 
     def test_invalid_skip_fraction(self):

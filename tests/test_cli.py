@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -145,18 +146,34 @@ class TestUsageErrors:
         assert run_cli(["response", "--filter", "7", "--out", str(tmp_path / "r.csv")]) == 1
 
 
-class TestSimulationErrors:
-    def test_above_nyquist_tone_exits_2(self, tmp_path, capsys):
+class TestInputErrorsFoundWhileRunning:
+    """An input only the run can check is still an invalid input: exit 1, not 2."""
+
+    @staticmethod
+    def run_and_read_error(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        return code, err
+
+    def test_above_nyquist_tone_exits_1(self, tmp_path, capsys):
         scn = tmp_path / "s.scn"
         scn.write_text("[tones]\nfreq_mhz = 6000\n")
         out = tmp_path / "d"
-        assert run_cli(["run", str(scn), "--out", str(out)]) == 2
+        code, err = self.run_and_read_error(["run", str(scn), "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("jamsim: error: tone at ") and "Nyquist" in err
         assert not out.exists()
-        assert "simulation error" in capsys.readouterr().err
 
-    def test_sample_rate_below_band_edges_exits_2(self, tmp_path):
-        assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "d"),
-                        "--fs", "4e9"]) == 2
+    def test_sample_rate_below_band_edges_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, err = self.run_and_read_error(
+            ["run", "--builtin", "1", "--out", str(out), "--fs", "4e9"], capsys)
+        assert code == 1
+        assert err.startswith("jamsim: error: band edge ") and "Nyquist" in err
+        assert not out.exists()
 
 
 class TestAtomicity:

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jamsim.cli import run_cli
-from jamsim.errors import InvalidParameter, InvalidValue, ParseError
+from jamsim.errors import InvalidParameter, ParseError
 from jamsim.pipeline import MAX_TOTAL_AMPLITUDE, PipelineConfig, Scenario
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.scenario_io import parse_scenario_file
@@ -117,17 +117,18 @@ class TestHugeValues:
         json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
 
     @pytest.mark.parametrize("key,value", [
-        ("rayleigh_sigma_v", "1e308"), ("gaussian_sigma_v", "1e200")])
-    def test_noise_sigma_over_the_limit_exits_1_naming_its_line(self, tmp_path, capsys,
-                                                                 key, value):
-        scn = tmp_path / "noise.scn"
+        ("rayleigh_sigma_v", "1e308"), ("gaussian_sigma_v", "1e200"), ("gain", "1e300")])
+    def test_jammer_setting_over_the_limit_exits_1_naming_its_line(self, tmp_path, capsys,
+                                                                    key, value):
+        scn = tmp_path / "jammer.scn"
         scn.write_text(TONE + f"[jammer]\n{key} = {value}\n")
         out = tmp_path / "d"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 1
         err = assert_one_line_error(capsys)
-        assert "line 4: " in err and key.removesuffix("_v") in err
+        assert err.startswith("jamsim: scenario file error: line 4: ")
+        assert key.removesuffix("_v") in err
         assert not out.exists()
 
     def test_noise_sigma_at_the_limit_runs(self, tmp_path):
@@ -143,14 +144,16 @@ class TestHugeValues:
         assert manifest["results"]["jammer1_rms_v"] > MAX_TOTAL_AMPLITUDE
 
     def test_overflowing_result_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        # A finite gain of 1e300 puts the jammer's squares past the float range.
+        # Gain and amplitude at their limits put the jammer's squares past the float range.
         scn = tmp_path / "gain.scn"
-        scn.write_text(TONE + "[jammer]\ngain = 1e300\n")
+        scn.write_text(TONE + f"amplitude_v = {MAX_TOTAL_AMPLITUDE!r}\n"
+                       f"[jammer]\ngain = {MAX_TOTAL_AMPLITUDE!r}\n")
         out = tmp_path / "d"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(["run", str(scn), "--out", str(out), "--reproducible"]) == 2
-        assert "simulation error" in assert_one_line_error(capsys)
+        err = assert_one_line_error(capsys)
+        assert err.startswith("jamsim: simulation error: manifest not written") and "inf" in err
         assert not out.exists()
 
     def test_scenario_rejects_the_sum_directly(self):
@@ -166,7 +169,7 @@ def _reject_constant(name):
 class TestInvalidFileValues:
     @pytest.mark.parametrize("text,line", BAD_FILES)
     def test_parser_names_the_line(self, text, line):
-        with pytest.raises(InvalidValue) as err:
+        with pytest.raises(ParseError, match=f"^line {line}: ") as err:
             parse_scenario_file(text)
         assert err.value.line == line
 
@@ -195,8 +198,9 @@ class TestTypedConfigErrors:
         {"sample_rate": float("nan")}, {"sample_rate": float("inf")}, {"sample_rate": 0.0},
         {"filter_order": 3}, {"filter_order": 0}, {"n_samples": 0}, {"n_samples": 1},
         {"n_samples": 2**63}, {"seed": -1},
-        {"gain": 0.5}, {"rayleigh_sigma": -1.0}, {"measure_skip_fraction": 1.0},
+        {"gain": 0.5}, {"rayleigh_sigma": -1.0},
         {"gaussian_sigma": 1e101}, {"rayleigh_sigma": float("inf")},
+        {"gain": 1e101}, {"gain": float("nan")},
     ])
     def test_pipeline_config_raises_invalid_parameter(self, kwargs):
         with pytest.raises(InvalidParameter):
@@ -231,6 +235,13 @@ _LINES = st.one_of(
 )
 
 
+#: The stderr prefixes each non-zero exit code may print.
+_STDERR_PREFIXES = {
+    1: ("jamsim: error: ", "jamsim: scenario file error: "),
+    2: ("jamsim: simulation error: ", "jamsim: i/o error: "),
+}
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_LINES, max_size=14).map("\n".join))
@@ -252,5 +263,10 @@ class TestFuzz:
         for flag, value in (("--seed", seed), ("--fs", fs), ("--samples", samples)):
             if value is not None:
                 argv.append(f"{flag}={value!r}")
-        assert run_cli(argv) in (0, 1, 2)
-        capsys.readouterr()
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in (1, 2)
+            assert err.startswith(_STDERR_PREFIXES[code]), (code, err)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim.errors import LengthMismatch, SampleRateMismatch
+from jamsim.errors import InvalidParameter
 from jamsim.jammer import JammerConfig, jam
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec, multi_tone
@@ -149,10 +149,10 @@ class TestValidation:
         assert cfg.noise.rayleigh_sigma == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidParameter, match="samples but gate has"):
             jam(tone_2v(), idle_gate(16), JammerConfig())
 
     def test_rate_mismatch(self):
         gate = GateLine(np.zeros(N), FS / 2.0)
-        with pytest.raises(SampleRateMismatch):
+        with pytest.raises(InvalidParameter, match="Hz but gate at"):
             jam(tone_2v(), gate, JammerConfig())

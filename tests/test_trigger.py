@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import maximum_filter1d
 
-from jamsim.errors import InvalidWindow
+from jamsim.errors import InvalidParameter
 from jamsim.filterbank import BAND_FILTER_SPECS, apply_filter, design_bandpass
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 from jamsim.trigger import (
@@ -85,7 +85,7 @@ class TestEnvelope:
             assert np.array_equal(envelope(buf, window).samples, xs)
 
     def test_zero_window_rejected(self):
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(InvalidParameter, match="window"):
             envelope(SignalBuffer([1.0], FS), 0)
 
     @pytest.mark.parametrize("window", [10**12, 10**29])
@@ -194,7 +194,7 @@ class TestConfigAndGate:
             TriggerConfig(threshold=0.0)
         with pytest.raises(ValueError):
             TriggerConfig(threshold=2.0, high_level=1.0)
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(InvalidParameter, match="envelope_window"):
             TriggerConfig(envelope_window=0)
 
     def test_gate_rejects_non_binary_levels(self):
