@@ -16,6 +16,10 @@ from jamsim.filterbank import (
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 
 FS = 10e9
+#: The (fs, order) grid on which the design and the run are checked
+#: against independent oracles.
+GRID_FS = (4e9, 5e9, 10e9, 40e9, 100e9)
+GRID_ORDERS = tuple(range(2, 25, 2))
 
 
 def mag_db_at(stages, freq_hz):
@@ -113,8 +117,8 @@ class TestDesign:
             for _, _, _, a0, a1, a2 in stages.sos:
                 assert a0 == 1.0 and abs(a2) < 1.0 and abs(a1) < 1.0 + a2
 
-    @pytest.mark.parametrize("order", range(2, 25, 2))
-    @pytest.mark.parametrize("fs", [4e9, 5e9, 10e9, 40e9, 100e9])
+    @pytest.mark.parametrize("order", GRID_ORDERS)
+    @pytest.mark.parametrize("fs", GRID_FS)
     def test_matches_independent_butterworth_design(self, fs, order):
         # scipy's own Butterworth bandpass is the cross-check; both are
         # normalized designs so magnitudes must coincide closely.
@@ -240,3 +244,49 @@ class TestApplyFilter:
                     + b * apply_filter(stages, SignalBuffer(y, FS)).samples)
         assert np.max(np.abs(combined - separate)) < 1e-9
 
+
+
+def grid_filters(fs, order):
+    """The band filters designable at (fs, order): those below Nyquist."""
+    return [design_bandpass(spec, fs, order) for spec in BAND_FILTER_SPECS
+            if spec.band_high * 1e6 < fs / 2.0]
+
+
+class TestTimeDomainOracle:
+    """The run agrees with the design: a settled tone comes out scaled and
+    shifted by `frequency_response`, with no scipy involved."""
+
+    #: Tone frequencies are k / PERIOD of fs, so the phase index k*i mod
+    #: PERIOD is exact integer arithmetic and the test's own sine carries
+    #: no phase error that grows with the sample index.
+    PERIOD = 1 << 16
+    #: Largest error allowed, in units of the tone amplitude.  The sosfilt
+    #: run met 1.1e-12 over the whole grid (worst at 100 GS/s).
+    TOL = 1e-11
+
+    @staticmethod
+    def settle_samples(stages):
+        """Samples after which the start-up transient is below ~1e-15."""
+        poles = np.concatenate([np.roots([1.0, a1, a2]) for *_, a1, a2 in stages.sos])
+        return int(np.ceil(60.0 / (1.0 - np.abs(poles).max())))
+
+    @pytest.mark.parametrize("order", GRID_ORDERS)
+    @pytest.mark.parametrize("fs", GRID_FS)
+    def test_settled_tone_follows_the_frequency_response(self, fs, order):
+        amplitude, phase = 2.0, 0.3
+        for stages in grid_filters(fs, order):
+            spec = stages.spec
+            settle = self.settle_samples(stages)
+            i = np.arange(settle + 4096, dtype=np.int64)
+            # One tone in the passband and one in each stopband.
+            upper = min(1.25 * spec.band_high * 1e6, (spec.band_high * 1e6 + fs / 2.0) / 2.0)
+            for f in (spec.center * 1e6, 0.8 * spec.band_low * 1e6, upper):
+                k = round(f / fs * self.PERIOD)
+                angle = 2.0 * np.pi * ((k * i) % self.PERIOD) / self.PERIOD + phase
+                mag_db, arg = frequency_response(stages, [k * fs / self.PERIOD])
+                gain = 10.0 ** (mag_db[0] / 20.0)
+                x = SignalBuffer(amplitude * np.sin(angle), fs)
+                y = apply_filter(stages, x).samples[settle:]
+                expected = amplitude * gain * np.sin(angle[settle:] + arg[0])
+                err = np.max(np.abs(y - expected)) / amplitude
+                assert err <= self.TOL, (spec.id, f, err)
