@@ -36,6 +36,10 @@ from .signal_core import SignalBuffer, check_sample_rate
 DEFAULT_FILTER_ORDER = 6
 #: Samples per block of the blocked run (a power of two).
 BLOCK_LEN = 64
+#: Blocks whose outputs one pair of matrix products forms.  Over a whole
+#: 2**20-sample buffer in one product, OpenBLAS with two threads kept 8 MB
+#: more resident; in chunks of 1024 blocks it keeps under 1 MB more.
+_CHUNK_BLOCKS = 1024
 
 
 @dataclass(frozen=True)
@@ -301,8 +305,10 @@ def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
         shift *= 2
     y = np.empty(x.size)
     out = y[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
-    np.matmul(blocks, stages._toeplitz.T, out=out)
-    out += starts[:, :-1].T @ stages._state_out.T
+    for lo in range(0, n_blocks, _CHUNK_BLOCKS):
+        hi = min(lo + _CHUNK_BLOCKS, n_blocks)
+        np.matmul(blocks[lo:hi], stages._toeplitz.T, out=out[lo:hi])
+        out[lo:hi] += starts[:, lo:hi].T @ stages._state_out.T
     if tail:
         y[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
                      + stages._state_out[:tail] @ starts[:, n_blocks])

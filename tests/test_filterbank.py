@@ -335,17 +335,6 @@ class TestBlockedRun:
                 err = float(np.max(np.abs(y - exact))) / scale
                 assert err <= self.BOUND[fs], (stages.spec.id, err)
 
-    def test_start_states_carry_across_blocks(self):
-        # An impulse in the last sample of a block rings on through the next
-        # blocks only through their start states.
-        x = np.zeros(5 * BLOCK_LEN + 3)
-        x[BLOCK_LEN - 1] = 1.0
-        stages = FILTERS[1]
-        got = apply_filter(stages, SignalBuffer(x, FS)).samples
-        assert np.all(got[:BLOCK_LEN - 1] == 0.0)
-        assert np.allclose(got, df2t_reference(stages, x), rtol=0.0, atol=1e-15)
-        assert np.abs(got[-BLOCK_LEN:]).max() > 1e-3
-
     def test_empty_buffer(self):
         out = apply_filter(FILTERS[0], SignalBuffer(np.zeros(0), FS))
         assert len(out) == 0 and out.sample_rate == FS
