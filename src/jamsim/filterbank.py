@@ -99,8 +99,9 @@ class FilterStages:
 
     def __post_init__(self):
         sos = np.array(self.sos, dtype=np.float64)
-        if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
-            raise InvalidParameter("sos must be an array of rows [b0, b1, b2, 1, a1, a2]")
+        if sos.ndim != 2 or sos.shape[1] != 6 or not len(sos) or np.any(sos[:, 3] != 1.0):
+            raise InvalidParameter("sos must be an array of one or more rows "
+                                   "[b0, b1, b2, 1, a1, a2]")
         if not np.isfinite(sos).all():
             raise JamSimError("non-finite section coefficient")
         a1, a2 = sos[:, 4], sos[:, 5]

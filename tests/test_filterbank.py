@@ -157,9 +157,10 @@ class TestDesign:
         [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
         [[1.0, 0.0, 0.0, 1.0, 0.0]],
         [[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]],
+        np.zeros((0, 6)),
     ])
     def test_malformed_sos_rejected(self, sos):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter, match="one or more rows"):
             FilterStages(sos=sos, sample_rate=FS, spec=BAND_FILTER_SPECS[0])
 
     def test_sos_is_a_read_only_copy(self):
