@@ -180,7 +180,7 @@ def _block_matrices(sos: np.ndarray) -> dict:
         "_toeplitz": np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0),
         "_state_out": out_rows,
         "_state_in": np.ascontiguousarray(in_cols[:, ::-1]),
-        "_scan_steps": np.ascontiguousarray(steps),
+        "_scan_steps": steps,
     }
 
 
