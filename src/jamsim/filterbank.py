@@ -36,9 +36,10 @@ from .signal_core import SignalBuffer, check_sample_rate
 DEFAULT_FILTER_ORDER = 6
 #: Samples per block of the blocked run (a power of two).
 BLOCK_LEN = 64
-#: Blocks whose outputs one pair of matrix products forms.  Over a whole
-#: 2**20-sample buffer in one product, OpenBLAS with two threads kept 8 MB
-#: more resident; in chunks of 1024 blocks it keeps under 1 MB more.
+#: Blocks whose outputs one pair of matrix products forms.  On a 2-CPU
+#: x86-64 VM, OpenBLAS with two threads kept 8 MB more resident after one
+#: product over a whole 2**20-sample buffer, and under 1 MB more in chunks
+#: of 1024 blocks.
 _CHUNK_BLOCKS = 1024
 
 
