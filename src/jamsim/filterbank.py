@@ -20,7 +20,8 @@ block k alone leaves in the state; a doubling scan (Blelloch 1990,
 "Prefix sums and their applications"; Martin & Cundy 2018,
 "Parallelizing linear recurrent neural nets over sequence length")
 solves it in log2(blocks) matrix products.  `FilterStages` builds these
-matrices once, at design time.
+matrices once, at design time.  Each product is cut small enough to run
+on its calling thread alone, and long buffers split the blocks in halves.
 """
 
 from __future__ import annotations
@@ -31,16 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, JamSimError
-from .signal_core import SignalBuffer, check_sample_rate
+from .signal_core import SignalBuffer, _in_halves, _Owned, check_sample_rate
 
 DEFAULT_FILTER_ORDER = 6
 #: Samples per block of the blocked run (a power of two).
 BLOCK_LEN = 64
-#: Blocks whose outputs one pair of matrix products forms.  On a 2-CPU
-#: x86-64 VM, OpenBLAS with two threads kept 8 MB more resident after one
-#: product over a whole 2**20-sample buffer, and under 1 MB more in chunks
-#: of 1024 blocks.
-_CHUNK_BLOCKS = 1024
+#: Most multiply-adds in one matrix product: OpenBLAS runs up to 65536 *
+#: GEMM_MULTITHREAD_THRESHOLD (4 by default) on the calling thread; a larger
+#: product wakes its worker threads, which then spin on the CPUs the halves need.
+_PRODUCT_MULADDS = 65536 * 4
 
 
 @dataclass(frozen=True)
@@ -296,22 +296,44 @@ def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
     # starts[:, k] is the state block k starts in; block 0 starts at zero.
     starts = np.zeros((len(stages._state_in), n_blocks + 1))
     ends = starts[:, 1:]
-    np.matmul(stages._state_in, blocks.T, out=ends)
+    y = np.empty(x.size)
+    out = y[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
+    most = max(1, _PRODUCT_MULADDS // (BLOCK_LEN * len(ends)))  # blocks per state product
+    scratch = np.empty((2, min(most, n_blocks), BLOCK_LEN))
+
+    def pieces(lo, hi, most=most):  # equal spans of at most `most` blocks
+        if hi - lo <= most:
+            return [(lo, hi)]
+        k = -(-(hi - lo) // most)
+        return [(lo + (hi - lo) * i // k, lo + (hi - lo) * (i + 1) // k) for i in range(k)]
+
+    def end_states(half, lo, hi):  # the state each block alone leaves
+        for a, b in pieces(lo, hi):
+            np.matmul(stages._state_in, blocks[a:b].T, out=ends[:, a:b])
+
+    def outputs(half, lo, hi):  # Toeplitz products of BLOCK_LEN blocks, then the start states
+        whole, shape = lo + (hi - lo) // BLOCK_LEN * BLOCK_LEN, (-1, BLOCK_LEN, BLOCK_LEN)
+        np.matmul(blocks[lo:whole].reshape(shape), stages._toeplitz.T,
+                  out=out[lo:whole].reshape(shape))
+        if whole < hi:  # the last BLOCK_LEN blocks once more, so no product is shorter
+            rest = max(lo, hi - BLOCK_LEN)
+            np.matmul(blocks[rest:hi], stages._toeplitz.T, out=out[rest:hi])
+        for a, b in pieces(lo, hi):
+            out[a:b] += np.matmul(starts[:, a:b].T, stages._state_out.T, out=scratch[half, :b - a])
+
+    _in_halves(end_states, 0, n_blocks, x.size)
     shift = 1
     # Hillis-Steele scan: after the step with shift, ends[:, k] holds the
-    # state blocks k-2*shift+1 .. k leave at the end of block k.
+    # state blocks k-2*shift+1 .. k leave at the end of block k.  Right to
+    # left, each piece reads states this step has not changed yet.
     for step in stages._scan_steps:
         if shift >= n_blocks:
             break
-        ends[:, shift:] += step @ ends[:, :-shift]
+        for a, b in pieces(shift, n_blocks, _PRODUCT_MULADDS // len(ends) ** 2 or 1)[::-1]:
+            ends[:, a:b] += step @ ends[:, a - shift:b - shift]
         shift *= 2
-    y = np.empty(x.size)
-    out = y[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
-    for lo in range(0, n_blocks, _CHUNK_BLOCKS):
-        hi = min(lo + _CHUNK_BLOCKS, n_blocks)
-        np.matmul(blocks[lo:hi], stages._toeplitz.T, out=out[lo:hi])
-        out[lo:hi] += starts[:, lo:hi].T @ stages._state_out.T
+    _in_halves(outputs, 0, n_blocks, x.size)
     if tail:
         y[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
                      + stages._state_out[:tail] @ starts[:, n_blocks])
-    return SignalBuffer(y, signal.sample_rate)
+    return SignalBuffer(_Owned(y), signal.sample_rate)

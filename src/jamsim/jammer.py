@@ -5,9 +5,9 @@ is low the output is exactly 0 V.  Noise sample j is a pure function of
 (seed, j), because the splitmix64 streams are counter-based and random
 access by index, so runs that differ only in the gate stay
 sample-for-sample comparable.  That lets the stage draw noise only over
-the span from the first to the last high gate sample, and nothing at all
-while the gate stays low, as the circuit wastes no power when no signal
-is detected.
+the span from the first to the last high gate sample, block by block and
+each half of a long span on its own thread, and nothing at all while the
+gate stays low, as the circuit wastes no power when no signal is detected.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidParameter
-from .signal_core import DEFAULT_SEED, MAX_TOTAL_AMPLITUDE, NoiseSpec, SignalBuffer
+from .signal_core import (_BLOCK, DEFAULT_SEED, MAX_TOTAL_AMPLITUDE, NoiseSpec, SignalBuffer,
+                          _in_halves, _Owned)
 from .trigger import GateLine
 
 DEFAULT_GAIN = 5.0
@@ -48,15 +49,19 @@ def jam(signal: SignalBuffer, gate: GateLine, config: JammerConfig) -> SignalBuf
         raise InvalidParameter(f"signal at {signal.sample_rate} Hz but gate at "
                                f"{gate.sample_rate} Hz")
     levels, noise, n = gate.levels, config.noise, len(signal)
+    out = np.zeros(n)
     # Every high level is the one maximum, so argmax finds the first and,
     # on the reversed view, the last high sample without an index array.
     lo = int(np.argmax(levels)) if n else 0
-    if not (n and levels[lo] > 0.0):
-        return SignalBuffer(np.zeros(n), signal.sample_rate)
-    hi = n - int(np.argmax(levels[::-1]))
-    active = (config.gain * signal.samples[lo:hi]
-              + rng.gaussian_stream(noise.gaussian_sigma, noise.seed, hi - lo, lo)
-              + rng.rayleigh_stream(noise.rayleigh_sigma, noise.seed, hi - lo, lo))
-    out = np.zeros(n)
-    np.copyto(out[lo:hi], active, where=levels[lo:hi] > 0.0)
-    return SignalBuffer(out, signal.sample_rate)
+    hi = n - int(np.argmax(levels[::-1])) if n and levels[lo] > 0.0 else lo
+
+    def fill(half, lo, hi):  # gain * signal + Gaussian + Rayleigh, added in that order
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            part = np.multiply(config.gain, signal.samples[a:b], out=out[a:b])
+            part += rng.gaussian_stream(noise.gaussian_sigma, noise.seed, b - a, a)
+            part += rng.rayleigh_stream(noise.rayleigh_sigma, noise.seed, b - a, a)
+            np.copyto(part, 0.0, where=levels[a:b] == 0.0)
+
+    _in_halves(fill, lo, hi, hi - lo)
+    return SignalBuffer(_Owned(out), signal.sample_rate)

@@ -52,16 +52,26 @@ def _check_span(count: int, start: int) -> None:
 def raw_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Raw 64-bit splitmix64 outputs `start .. start+count-1` for `seed`."""
     _check_span(count, start)
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)  # wraps mod 2**64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)  # wraps mod 2**64
+    shifted = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(factor)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=shifted), out=z)
 
 
 def uniform_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. doubles in [0, 1) with 53-bit resolution."""
-    return (raw_stream(seed, count, start) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = raw_stream(seed, count, start)
+    z >>= np.uint64(11)
+    return np.multiply(z, 2.0**-53, out=z.view(np.float64))
+
+
+def _radius(u: np.ndarray) -> np.ndarray:
+    """sqrt(-2 ln(1 - u)), in place."""
+    np.log1p(np.negative(u, out=u), out=u)
+    return np.sqrt(np.multiply(u, -2.0, out=u), out=u)
 
 
 def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -70,15 +80,14 @@ def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.n
     skip = start % 2  # an odd start begins on the sin half of a pair
     pairs = (skip + count + 1) // 2
     u = uniform_stream(mix64(seed ^ _GAUSSIAN_TAG), 2 * pairs, start - skip)
-    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    theta = (2.0 * np.pi) * u[1::2]
+    radius, theta = _radius(u[0::2]), np.multiply(u[1::2], 2.0 * np.pi, out=u[1::2])
     out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(theta)
-    out[1::2] = radius * np.sin(theta)
-    return sigma * out[skip:skip + count]
+    np.multiply(radius, np.cos(theta, out=out[0::2]), out=out[0::2])
+    np.multiply(radius, np.sin(theta, out=out[1::2]), out=out[1::2])
+    return np.multiply(sigma, out[skip:skip + count], out=out[skip:skip + count])
 
 
 def rayleigh_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. Rayleigh(scale=sigma) draws, all >= 0, samples `start` onward."""
-    u = uniform_stream(mix64(seed ^ _RAYLEIGH_TAG), count, start)
-    return sigma * np.sqrt(-2.0 * np.log1p(-u))
+    u = _radius(uniform_stream(mix64(seed ^ _RAYLEIGH_TAG), count, start))
+    return np.multiply(sigma, u, out=u)

@@ -41,7 +41,7 @@ import numpy as np
 from .analysis import Spectrum
 from .errors import InvalidParameter, ParseError
 from .pipeline import PipelineConfig, Scenario
-from .signal_core import DEFAULT_SEED, SignalBuffer, ToneSpec
+from .signal_core import DEFAULT_SEED, SignalBuffer, ToneSpec, check_below_nyquist
 from .trigger import TriggerConfig
 
 #: Each section's keys and the ToneSpec/PipelineConfig/TriggerConfig field each sets.
@@ -87,6 +87,7 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
     """Parse a scenario document into a fully resolved (Scenario, PipelineConfig)."""
     name = "scenario"
     tones: list[dict[str, float]] = []
+    tone_lines: list[int] = []  # the freq_mhz line of each tone
     settings: dict[str, dict[str, float | int]] = {"sim": {}, "jammer": {}, "trigger": {}}
     lines: dict[str, int] = {}  # field -> line that last set it
     section: str | None = None
@@ -115,6 +116,7 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
 
         if section == "tones" and key == "freq_mhz":
             tones.append({})
+            tone_lines.append(lineno)
         elif section == "tones" and not tones:
             raise ParseError(f"{key} appears before any freq_mhz", lineno)
         target = tones[-1] if section == "tones" else settings[section]
@@ -132,6 +134,9 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
         config = PipelineConfig(**{"seed": default_seed, **settings["sim"], **settings["jammer"]},
                                 trigger=TriggerConfig(**settings["trigger"]))
         scenario = Scenario(name=name, tones=tuple(ToneSpec(**t) for t in tones))
+    for tone, line in zip(scenario.tones, tone_lines):  # blamed on it or on sample_rate_hz
+        with _blame({**lines, "frequency": line}):
+            check_below_nyquist([tone], config.sample_rate)
     return scenario, config
 
 

@@ -3,12 +3,14 @@
 Everything downstream (filters, trigger, jammer, analysis) exchanges
 `SignalBuffer` values: a uniformly sampled real voltage sequence plus
 its sample rate.  Buffers are immutable; operations are pure functions
-of their inputs, so concurrent use needs no locking.  The noise streams
-themselves come from `jamsim.rng`.
+of their inputs.  A stage hands the arrays it fills to its result uncopied
+and splits long buffers with one helper thread, leaving every byte as is.
+The noise streams themselves come from `jamsim.rng`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,8 @@ DEFAULT_SEED = 42
 #: and the RMS of a jammer at the default gain.  At a larger gain that RMS
 #: may overflow to inf, which is a failed simulation, not an invalid input.
 MAX_TOTAL_AMPLITUDE = 1e100
+#: Samples per block of the tone render and the noise draw; a few stay in cache.
+_BLOCK = 16384
 
 
 def check_sample_rate(sample_rate: float) -> float:
@@ -43,10 +47,39 @@ def check_sample_rate(sample_rate: float) -> float:
     return rate
 
 
+@dataclass(frozen=True)
+class _Owned:
+    """A float64 array a stage filled and gives up: buffers check it but do not copy it."""
+    array: np.ndarray
+
+
 def _as_readonly_f64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
+    arr = (values.array if isinstance(values, _Owned)
+           else np.array(values, dtype=np.float64, copy=True).reshape(-1))
     arr.setflags(write=False)
     return arr
+
+
+def _in_halves(work, lo: int, hi: int, samples: int) -> None:
+    """`work(0, lo, hi)`, or from 2**17 samples up `work(0, lo, mid)` here while a
+    helper thread runs `work(1, mid, hi)`; an exception from either is raised here."""
+    if samples < 2**17:
+        return work(0, lo, hi)
+    mid, failed = (lo + hi) // 2, []
+
+    def second_half():
+        try:
+            work(1, mid, hi)
+        except BaseException as exc:  # raised again in the calling thread
+            failed.append(exc)
+    helper = threading.Thread(target=second_half)
+    helper.start()
+    try:
+        work(0, lo, mid)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +144,14 @@ class NoiseSpec:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed!r}", "seed")
 
 
+def check_below_nyquist(tones, sample_rate: float) -> None:
+    """InvalidParameter unless every tone lies below sample_rate / 2."""
+    for tone in tones:
+        if tone.frequency >= sample_rate / 2.0:
+            raise InvalidParameter(f"tone at {tone.frequency} Hz is not below Nyquist "
+                                   f"({sample_rate / 2.0} Hz)", "frequency", "sample_rate")
+
+
 def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     """Sum of sinusoids: x[i] = sum_k a_k sin(2 pi f_k i / fs + phi_k).
 
@@ -122,18 +163,23 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     check_sample_rate(sample_rate)
     if n_samples < 0:
         raise InvalidParameter(f"n_samples must be >= 0, got {n_samples!r}", "n_samples")
-    for tone in tones:
-        if tone.frequency >= sample_rate / 2.0:
-            raise InvalidParameter(f"tone at {tone.frequency} Hz is not below Nyquist "
-                                   f"({sample_rate / 2.0} Hz)")
-    t = np.arange(n_samples) / sample_rate
-    # Every tone, the first too, is added into zeros: 0.0 + -0.0 is 0.0.
-    acc, tmp = np.zeros(n_samples), np.empty(n_samples)
-    for tone in tones:
-        # a * sin(2 pi f t + phi), evaluated in that order in one scratch buffer
-        np.multiply(2.0 * np.pi * tone.frequency, t, out=tmp)
-        tmp += tone.phase
-        np.sin(tmp, out=tmp)
-        tmp *= tone.amplitude
-        acc += tmp
-    return SignalBuffer(acc, sample_rate)
+    check_below_nyquist(tones, sample_rate)
+    acc, scratch = np.empty(n_samples), np.empty((2, 2, min(n_samples, _BLOCK)))
+    ramp = np.arange(min(n_samples, _BLOCK), dtype=np.float64)
+
+    def render(half, lo, hi):
+        for start in range(lo, hi, _BLOCK):
+            out = acc[start:min(start + _BLOCK, hi)]
+            t, tmp = scratch[half, :, :out.size]
+            np.divide(np.add(ramp[:out.size], start, out=t), sample_rate, out=t)  # i / fs
+            out.fill(0.0)  # every tone, the first too, is added into zeros: 0.0 + -0.0 is 0.0
+            for tone in tones:
+                # a * sin(2 pi f t + phi), evaluated in that order in one scratch block
+                np.multiply(2.0 * np.pi * tone.frequency, t, out=tmp)
+                tmp += tone.phase
+                np.sin(tmp, out=tmp)
+                tmp *= tone.amplitude
+                out += tmp
+
+    _in_halves(render, 0, n_samples, n_samples)
+    return SignalBuffer(_Owned(acc), sample_rate)

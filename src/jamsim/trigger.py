@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .filterbank import LOWEST_PASSBAND_HZ
-from .signal_core import SignalBuffer, _as_readonly_f64
+from .signal_core import SignalBuffer, _as_readonly_f64, _in_halves, _Owned
 
 DEFAULT_THRESHOLD = 1.0
 DEFAULT_HIGH_LEVEL = 5.0
@@ -65,12 +65,24 @@ class GateLine:
         return self.levels.size
 
     def to_buffer(self) -> SignalBuffer:
-        return SignalBuffer(self.levels, self.sample_rate)
+        return SignalBuffer(_Owned(self.levels), self.sample_rate)
 
 
 def full_wave_rectify(signal: SignalBuffer) -> SignalBuffer:
     """y[i] = |x[i]|."""
-    return SignalBuffer(np.abs(signal.samples), signal.sample_rate)
+    return SignalBuffer(_Owned(np.abs(signal.samples)), signal.sample_rate)
+
+
+def _trailing_max(env: np.ndarray, spare: np.ndarray, window: int) -> np.ndarray:
+    """`envelope` of `env`, formed in `env` and `spare` by turns; returns the one holding it."""
+    window = min(window, env.size)  # a longer window reaches back to sample 0 everywhere
+    span = 1
+    while span < window:
+        step = min(span, window - span)
+        spare[:step] = env[:step]
+        np.maximum(env[step:], env[:-step], out=spare[step:])
+        env, spare, span = spare, env, span + step
+    return env
 
 
 def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
@@ -85,25 +97,29 @@ def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
     if window < 1:
         raise InvalidParameter(f"envelope window must be >= 1, got {window}")
     x = signal.samples
-    # Any window of len(signal) or more reaches back to sample 0 everywhere.
-    window = min(window, x.size)
-    env, spare, span = x.copy(), np.empty_like(x), 1
-    while span < window:
-        step = min(span, window - span)
-        spare[:step] = env[:step]
-        np.maximum(env[step:], env[:-step], out=spare[step:])
-        env, spare, span = spare, env, span + step
-    return SignalBuffer(env, signal.sample_rate)
+    return SignalBuffer(_Owned(_trailing_max(x.copy(), np.empty_like(x), window)),
+                        signal.sample_rate)
 
 
 def comparator(env: SignalBuffer, config: TriggerConfig) -> GateLine:
     """high_level where the envelope strictly exceeds the threshold, else 0."""
     levels = np.where(env.samples > config.threshold, config.high_level, 0.0)
-    return GateLine(levels, env.sample_rate, config.high_level)
+    return GateLine(_Owned(levels), env.sample_rate, config.high_level)
 
 
 def trigger_chain(signal: SignalBuffer, config: TriggerConfig) -> GateLine:
     """Rectify, track the envelope, compare: the whole trigger circuit."""
     window = (default_envelope_window(signal.sample_rate) if config.envelope_window is None
               else config.envelope_window)
-    return comparator(envelope(full_wave_rectify(signal), window), config)
+    x, levels = signal.samples, np.empty(len(signal))
+    work = np.empty((2, x.size + min(window - 1, x.size // 2)))
+
+    def detect(half, lo, hi):
+        first = max(0, lo - window + 1)  # the window - 1 samples before lo make env exact
+        env, spare = work[:, lo:lo + hi - first]
+        env = _trailing_max(np.abs(x[first:hi], out=env), spare, window)[lo - first:]
+        np.multiply(np.greater(env, config.threshold, out=levels[lo:hi]), config.high_level,
+                    out=levels[lo:hi])  # 1 -> high_level, 0 -> 0.0
+
+    _in_halves(detect, 0, x.size, x.size)
+    return GateLine(_Owned(levels), signal.sample_rate, config.high_level)

@@ -164,6 +164,16 @@ class TestInputErrorsFoundWhileRunning:
         out = tmp_path / "d"
         code, err = self.run_and_read_error(["run", str(scn), "--out", str(out)], capsys)
         assert code == 1
+        assert err.startswith("jamsim: scenario file error: line 2: tone at ") and "Nyquist" in err
+        assert not out.exists()
+
+    def test_tone_above_the_nyquist_of_fs_exits_1(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text("[tones]\nfreq_mhz = 4600\n")  # below Nyquist at the default 10 GS/s
+        out = tmp_path / "d"
+        code, err = self.run_and_read_error(
+            ["run", str(scn), "--out", str(out), "--fs", "9e9"], capsys)
+        assert code == 1
         assert err.startswith("jamsim: error: tone at ") and "Nyquist" in err
         assert not out.exists()
 

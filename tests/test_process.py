@@ -1,7 +1,7 @@
 """Properties of a whole jamsim process, each checked in a fresh interpreter.
 
-A jamsim run imports no scipy module, and the number of BLAS threads
-does not change a byte of its output.
+A jamsim run imports no scipy module, and neither the number of BLAS
+threads nor the CPUs the process may use change a byte of its output.
 """
 
 import hashlib
@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -43,18 +45,29 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert run_python(NO_SCIPY, str(tmp_path)).strip() == "[]"
 
 
-#: Hashes of each band filter's output for a 2**20 + 5 sample input (large
-#: enough that the BLAS splits its products between threads), then of
-#: every file of a reproducible `jamsim run --builtin 4`.
+#: Hashes of each band filter's output for a 2**20 + 5 sample input and of
+#: every buffer and gate of `run_scenario` on builtin 4 at that length (long
+#: enough that each stage splits its samples with a helper thread), then of
+#: every file of a reproducible `jamsim run --builtin 4`.  With "pin" the
+#: process first confines itself to one CPU, before numpy starts the BLAS.
 OUTPUT_HASHES = """
 import contextlib, hashlib, io, json, os, sys
+if sys.argv[2] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 import jamsim
 from jamsim.cli import run_cli
+def digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
 pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config())
 x = jamsim.SignalBuffer(np.random.default_rng(3).uniform(-2.0, 2.0, 2**20 + 5), 10e9)
-hashes = {f"filter{k}": hashlib.sha256(jamsim.apply_filter(stages, x).samples.tobytes()).hexdigest()
+hashes = {f"filter{k}": digest(jamsim.apply_filter(stages, x).samples)
           for k, stages in enumerate(pipeline.filters, 1)}
+long_run = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=2**20 + 5))
+report = jamsim.run_scenario(long_run, jamsim.builtin_scenarios()[3])
+hashes.update({f"run.{name}": digest(buf.samples) for name, buf in report.branch_buffers.items()})
+hashes.update({f"run.{name}": digest(gate.levels) for name, gate in report.gates.items()})
+hashes["run.rms"] = repr((report.jammer1_rms, report.jammer2_rms))
 out = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     assert run_cli(["run", "--builtin", "4", "--out", out, "--reproducible"]) == 0
@@ -65,9 +78,10 @@ print(json.dumps(hashes))
 """
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_output_does_not_depend_on_the_blas_thread_count(tmp_path):
-    default = json.loads(run_python(OUTPUT_HASHES, str(tmp_path / "default")))
-    single = json.loads(run_python(OUTPUT_HASHES, str(tmp_path / "single"),
+    default = json.loads(run_python(OUTPUT_HASHES, str(tmp_path / "default"), "free"))
+    single = json.loads(run_python(OUTPUT_HASHES, str(tmp_path / "single"), "pin",
                                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
-    assert "manifest.json" in default and "filter4" in default
+    assert "manifest.json" in default and "filter4" in default and "run.jammer2" in default
     assert single == default

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,11 +100,26 @@ class TestParse:
         assert config.jammer40 == JammerConfig(gain=3.5, noise=NoiseSpec(0.5, 0.25, 10))
         assert config.trigger == TriggerConfig(threshold=0.8, high_level=4.0, envelope_window=9)
 
-    def test_above_nyquist_tone_parses_but_fails_at_run_time(self):
-        scenario, config = parse_scenario_file("[tones]\nfreq_mhz = 6000\n")
-        pipeline = build_pipeline(config)
-        with pytest.raises(InvalidParameter, match="Nyquist"):
+    @pytest.mark.parametrize("text,line", [
+        ("[tones]\nfreq_mhz = 6000\n", 2),
+        ("[tones]\nfreq_mhz = 5000\n", 2),  # exactly at Nyquist
+        ("[sim]\nsample_rate_hz = 1e10\n[tones]\nfreq_mhz = 1200\nfreq_mhz = 6000\n", 5),
+        ("[tones]\nfreq_mhz = 4600\nfreq_mhz = 1200\n[sim]\nsample_rate_hz = 9e9\n", 5),
+        ("[tones]\nfreq_mhz = 1200\n\nfreq_mhz = 4600\namplitude_v = 1\n"
+         "[sim]\nsample_rate_hz = 9e9\n", 7),
+        ("[sim]\nsample_rate_hz = 9e9\n\n[tones]\nfreq_mhz = 4600\n", 5),
+    ])
+    def test_above_nyquist_tone_fails_at_the_later_of_its_line_and_the_rate(self, text, line):
+        with pytest.raises(ParseError, match="Nyquist") as err:
+            parse_scenario_file(text)
+        assert err.value.line == line
+
+    def test_a_rate_lowered_after_parsing_fails_at_run_time(self):
+        scenario, config = parse_scenario_file("[tones]\nfreq_mhz = 4600\n")
+        pipeline = build_pipeline(replace(config, sample_rate=9e9))
+        with pytest.raises(InvalidParameter, match="Nyquist") as err:
             run_scenario(pipeline, scenario)
+        assert not isinstance(err.value, ParseError)
 
     def test_unknown_section_fails_with_line_number(self):
         with pytest.raises(ParseError, match="unknown section") as err:

@@ -1,0 +1,187 @@
+"""Long buffers: the stages split in halves give the bytes of a whole-buffer run.
+
+From 2**17 samples up, each per-sample stage runs the second half of its
+samples on one helper thread.  The references here are whole-buffer,
+single-pass versions of each stage, as they stood before the split.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from scipy.ndimage import maximum_filter1d
+
+import jamsim
+from jamsim import rng
+from jamsim.analysis import rms
+from jamsim.pipeline import MEASURE_SKIP_FRACTION
+from jamsim.trigger import TriggerConfig, default_envelope_window
+
+SPLIT = 2**17
+
+
+def reference_tones(tones, fs, n):
+    """multi_tone as one ufunc sequence over the whole buffer."""
+    t = np.arange(n) / fs
+    acc, tmp = np.zeros(n), np.empty(n)
+    for tone in tones:
+        np.multiply(2.0 * np.pi * tone.frequency, t, out=tmp)
+        tmp += tone.phase
+        np.sin(tmp, out=tmp)
+        tmp *= tone.amplitude
+        acc += tmp
+    return acc
+
+
+def reference_filter(stages, x):
+    """apply_filter with one product per step over every block at once."""
+    n_blocks, tail = divmod(x.size, 64)
+    blocks = x[:x.size - tail].reshape(n_blocks, 64)
+    starts = np.zeros((len(stages._state_in), n_blocks + 1))
+    ends = starts[:, 1:]
+    np.matmul(stages._state_in, blocks.T, out=ends)
+    shift = 1
+    for step in stages._scan_steps:
+        if shift >= n_blocks:
+            break
+        ends[:, shift:] += step @ ends[:, :-shift]
+        shift *= 2
+    y = np.empty(x.size)
+    y[:x.size - tail] = (blocks @ stages._toeplitz.T
+                         + starts[:, :n_blocks].T @ stages._state_out.T).reshape(-1)
+    if tail:
+        y[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
+                     + stages._state_out[:tail] @ starts[:, n_blocks])
+    return y
+
+
+def reference_trigger(x, config, fs):
+    """Rectify, trailing max over the window (scipy's maximum_filter1d), np.where."""
+    window = min(config.envelope_window or default_envelope_window(fs), x.size)
+    env = maximum_filter1d(np.abs(x), size=window, origin=(window - 1) - window // 2,
+                           mode="constant", cval=-np.inf)
+    return np.where(env > config.threshold, config.high_level, 0.0)
+
+
+def reference_jam(x, levels, config):
+    """gain * signal + Gaussian + Rayleigh over the whole span the gate is ever high."""
+    out = np.zeros(x.size)
+    high = np.flatnonzero(levels)
+    if high.size:
+        lo, hi = high[0], high[-1] + 1
+        noise = config.noise
+        active = (config.gain * x[lo:hi]
+                  + rng.gaussian_stream(noise.gaussian_sigma, noise.seed, hi - lo, lo)
+                  + rng.rayleigh_stream(noise.rayleigh_sigma, noise.seed, hi - lo, lo))
+        np.copyto(out[lo:hi], active, where=levels[lo:hi] > 0.0)
+    return out
+
+
+def reference_run(pipeline, scenario):
+    cfg = pipeline.config
+    fs = cfg.sample_rate
+    source = reference_tones(scenario.tones, fs, cfg.n_samples)
+    filtered = [reference_filter(stages, source) for stages in pipeline.filters]
+    gate1 = reference_trigger(filtered[1], cfg.trigger, fs)
+    gate2 = reference_trigger(filtered[3], cfg.trigger, fs)
+    buffers = {"input": source, "filter1": filtered[0], "filter2": filtered[1],
+               "filter3": filtered[2], "filter4": filtered[3],
+               "jammer1": reference_jam(filtered[2], gate1, cfg.jammer3),
+               "jammer2": reference_jam(filtered[3], gate2, cfg.jammer40)}
+    return buffers, {"trigger1": gate1, "trigger2": gate2}
+
+
+def assert_same_run(pipeline, scenario):
+    report = jamsim.run_scenario(pipeline, scenario)
+    buffers, gates = reference_run(pipeline, scenario)
+    for name, samples in buffers.items():
+        assert report.branch_buffers[name].samples.tobytes() == samples.tobytes(), name
+    for name, levels in gates.items():
+        assert report.gates[name].levels.tobytes() == levels.tobytes(), name
+    fs = pipeline.config.sample_rate
+    for got, name in ((report.jammer1_rms, "jammer1"), (report.jammer2_rms, "jammer2")):
+        assert got == rms(jamsim.SignalBuffer(buffers[name], fs), MEASURE_SKIP_FRACTION)
+
+
+@pytest.mark.parametrize("n", [4096, SPLIT - 1, SPLIT, SPLIT + 1, 2**20 + 3])
+@pytest.mark.parametrize("index", range(4))
+def test_run_matches_the_whole_buffer_reference(n, index):
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=n))
+    assert_same_run(pipeline, jamsim.builtin_scenarios()[index])
+
+
+@pytest.mark.parametrize("window", [1, 6, 7, 1000, SPLIT // 2 + 3, 10**12])
+@pytest.mark.parametrize("index", [1, 3])
+def test_envelope_lead_in_crosses_the_split(window, index):
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(
+        n_samples=SPLIT + 1, trigger=TriggerConfig(envelope_window=window)))
+    assert_same_run(pipeline, jamsim.builtin_scenarios()[index])
+
+
+class Boom(Exception):
+    pass
+
+
+def test_an_error_in_the_helper_half_surfaces_unchanged(monkeypatch):
+    # The jammers split the span their gate is high, which starts after the
+    # filters settle: twice the threshold makes that span long enough.
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=2 * SPLIT))
+    boom, raised_in = Boom("helper half"), []
+    draw = rng.gaussian_stream
+
+    def failing_draw(sigma, seed, count, start=0):
+        if threading.current_thread() is not threading.main_thread():
+            raised_in.append(threading.current_thread().name)
+            raise boom
+        return draw(sigma, seed, count, start)
+
+    monkeypatch.setattr(rng, "gaussian_stream", failing_draw)
+    before = threading.active_count()
+    with pytest.raises(Boom) as err:
+        jamsim.run_scenario(pipeline, jamsim.builtin_scenarios()[3])
+    assert err.value is boom
+    assert raised_in
+    assert threading.active_count() == before
+
+
+def test_a_short_buffer_starts_no_thread(monkeypatch):
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=SPLIT - 1))
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    jamsim.run_scenario(pipeline, jamsim.builtin_scenarios()[3])
+    assert started == []
+
+
+def test_concurrent_runs_give_the_serial_bytes():
+    """More callers than CPUs, each with its helper threads, switching often."""
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=SPLIT + 1))
+    scenarios = jamsim.builtin_scenarios()
+
+    def fingerprint(report):
+        return [buf.samples.tobytes() for buf in report.branch_buffers.values()] + [
+            gate.levels.tobytes() for gate in report.gates.values()]
+
+    serial = [fingerprint(jamsim.run_scenario(pipeline, s)) for s in scenarios]
+    results = [None] * 8
+    errors = []
+
+    def call(k):
+        try:
+            results[k] = fingerprint(jamsim.run_scenario(pipeline, scenarios[k % 4]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert errors == []
+    assert results == [serial[k % 4] for k in range(len(results))]
