@@ -13,6 +13,7 @@ from .filterbank import (
     FilterSpec,
     FilterStages,
     apply_filter,
+    apply_filters,
     design_bandpass,
     frequency_response,
 )

@@ -20,8 +20,9 @@ block k alone leaves in the state; a doubling scan (Blelloch 1990,
 "Prefix sums and their applications"; Martin & Cundy 2018,
 "Parallelizing linear recurrent neural nets over sequence length")
 solves it in log2(blocks) matrix products.  `FilterStages` builds these
-matrices once, at design time.  Each product is cut small enough to run
-on its calling thread alone, and long buffers split the blocks in halves.
+matrices once, at design time.  `apply_filters` runs a bank in three passes,
+each product small enough for its calling thread alone; long buffers split
+the end states and outputs by block, and the scans by filter, over two threads.
 """
 
 from __future__ import annotations
@@ -91,6 +92,9 @@ class FilterStages:
     spec: FilterSpec
     #: (BLOCK_LEN, BLOCK_LEN) lower-triangular Toeplitz of the impulse response.
     _toeplitz: np.ndarray = field(init=False, repr=False)
+    #: Its transpose, C-contiguous, for the 64-block products only.  OpenBLAS rounds 1-18 rows
+    #: differently with it: the "once more" product keeps ``_toeplitz.T``, the tail ``_toeplitz``.
+    _toeplitz_t: np.ndarray = field(init=False, repr=False)
     #: (BLOCK_LEN, n_states) rows ``C A^t``: a block's start state to its output.
     _state_out: np.ndarray = field(init=False, repr=False)
     #: (n_states, BLOCK_LEN) columns ``A^(L-1-j) B``: a block's input to its end state.
@@ -177,8 +181,10 @@ def _block_matrices(sos: np.ndarray) -> dict:
     steps = squares[log_len:]
     if not steps[-1].any():  # the square that underflowed is no step
         steps = steps[:-1]
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
     return {
-        "_toeplitz": np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0),
+        "_toeplitz": toeplitz,
+        "_toeplitz_t": np.ascontiguousarray(toeplitz.T),
         "_state_out": out_rows,
         "_state_in": np.ascontiguousarray(in_cols[:, ::-1]),
         "_scan_steps": steps,
@@ -282,58 +288,72 @@ def frequency_response(stages: FilterStages, freqs) -> tuple[np.ndarray, np.ndar
 
 
 def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
-    """Run the cascade over a buffer (direct-form II transposed, zero state).
+    """Run one cascade over a buffer: `apply_filters` with a bank of one."""
+    return apply_filters((stages,), signal)[0]
 
-    The buffer runs in whole blocks of `BLOCK_LEN` samples plus a shorter
-    tail, as the module docstring describes.
+
+def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
+    """Run every cascade in `bank`, a tuple of `FilterStages`, over one buffer (zero state).
+
+    The buffers are rows of one array: one kept on its own keeps the bank's array alive.
     """
-    if signal.sample_rate != stages.sample_rate:
-        raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
-                               f"{stages.sample_rate} Hz")
+    for stages in bank:
+        if signal.sample_rate != stages.sample_rate:
+            raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
+                                   f"{stages.sample_rate} Hz")
     x = signal.samples
     n_blocks, tail = divmod(x.size, BLOCK_LEN)
     blocks = x[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
-    # starts[:, k] is the state block k starts in; block 0 starts at zero.
-    starts = np.zeros((len(stages._state_in), n_blocks + 1))
-    ends = starts[:, 1:]
-    y = np.empty(x.size)
-    out = y[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
-    most = max(1, _PRODUCT_MULADDS // (BLOCK_LEN * len(ends)))  # blocks per state product
-    scratch = np.empty((2, min(most, n_blocks), BLOCK_LEN))
+    # starts[f][:, k] is the state filter f's block k starts in; block 0 starts at zero.
+    starts = [np.zeros((len(stages._state_in), n_blocks + 1)) for stages in bank]
+    y = np.empty((len(bank), x.size))
+    out = y[:, :x.size - tail].reshape(len(bank), n_blocks, BLOCK_LEN)
 
-    def pieces(lo, hi, most=most):  # equal spans of at most `most` blocks
+    def most(states, width):  # blocks per product of `width` columns per block
+        return min(max(1, _PRODUCT_MULADDS // (width * states)), n_blocks)
+    room = max((most(len(st), w) * w for st in starts for w in (BLOCK_LEN, len(st))), default=0)
+    scratch = np.empty((2, room))  # per half, the largest state or scan product piece
+    shifts = [1 << i for i in range(max(n_blocks - 1, 0).bit_length())]  # 1, 2, 4, ... < n_blocks
+
+    def pieces(lo, hi, most):  # equal spans of at most `most` blocks
         if hi - lo <= most:
             return [(lo, hi)]
         k = -(-(hi - lo) // most)
         return [(lo + (hi - lo) * i // k, lo + (hi - lo) * (i + 1) // k) for i in range(k)]
 
     def end_states(half, lo, hi):  # the state each block alone leaves
-        for a, b in pieces(lo, hi):
-            np.matmul(stages._state_in, blocks[a:b].T, out=ends[:, a:b])
+        for stages, st in zip(bank, starts):
+            for a, b in pieces(lo, hi, most(len(st), BLOCK_LEN)):
+                np.matmul(stages._state_in, blocks[a:b].T, out=st[:, a + 1:b + 1])
+
+    def scans(half, lo, hi):
+        # Hillis-Steele scan: after the step with shift, ends[:, k] holds the
+        # state blocks k-2*shift+1 .. k leave at the end of block k.  Right to
+        # left, each piece reads states this step has not changed yet.
+        for stages, st in zip(bank[lo:hi], starts[lo:hi]):
+            ends, per = st[:, 1:], most(len(st), len(st))
+            for step, shift in zip(stages._scan_steps, shifts):
+                for a, b in pieces(shift, n_blocks, per)[::-1]:
+                    term = scratch[half, :len(st) * (b - a)].reshape(len(st), b - a)
+                    ends[:, a:b] += np.matmul(step, ends[:, a - shift:b - shift], out=term)
 
     def outputs(half, lo, hi):  # Toeplitz products of BLOCK_LEN blocks, then the start states
         whole, shape = lo + (hi - lo) // BLOCK_LEN * BLOCK_LEN, (-1, BLOCK_LEN, BLOCK_LEN)
-        np.matmul(blocks[lo:whole].reshape(shape), stages._toeplitz.T,
-                  out=out[lo:whole].reshape(shape))
-        if whole < hi:  # the last BLOCK_LEN blocks once more, so no product is shorter
-            rest = max(lo, hi - BLOCK_LEN)
-            np.matmul(blocks[rest:hi], stages._toeplitz.T, out=out[rest:hi])
-        for a, b in pieces(lo, hi):
-            out[a:b] += np.matmul(starts[:, a:b].T, stages._state_out.T, out=scratch[half, :b - a])
+        for stages, st, o in zip(bank, starts, out):
+            np.matmul(blocks[lo:whole].reshape(shape), stages._toeplitz_t,
+                      out=o[lo:whole].reshape(shape))
+            if whole < hi:  # the last BLOCK_LEN blocks once more, so no product is shorter
+                rest = max(lo, hi - BLOCK_LEN)
+                np.matmul(blocks[rest:hi], stages._toeplitz.T, out=o[rest:hi])
+            for a, b in pieces(lo, hi, most(len(st), BLOCK_LEN)):
+                term = scratch[half, :(b - a) * BLOCK_LEN].reshape(b - a, BLOCK_LEN)
+                o[a:b] += np.matmul(st[:, a:b].T, stages._state_out.T, out=term)
 
     _in_halves(end_states, 0, n_blocks, x.size)
-    shift = 1
-    # Hillis-Steele scan: after the step with shift, ends[:, k] holds the
-    # state blocks k-2*shift+1 .. k leave at the end of block k.  Right to
-    # left, each piece reads states this step has not changed yet.
-    for step in stages._scan_steps:
-        if shift >= n_blocks:
-            break
-        for a, b in pieces(shift, n_blocks, _PRODUCT_MULADDS // len(ends) ** 2 or 1)[::-1]:
-            ends[:, a:b] += step @ ends[:, a - shift:b - shift]
-        shift *= 2
+    _in_halves(scans, 0, len(bank), x.size if len(bank) > 1 else 0)
     _in_halves(outputs, 0, n_blocks, x.size)
     if tail:
-        y[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
-                     + stages._state_out[:tail] @ starts[:, n_blocks])
-    return SignalBuffer(_Owned(y), signal.sample_rate)
+        for stages, st, row in zip(bank, starts, y):
+            row[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
+                           + stages._state_out[:tail] @ st[:, n_blocks])
+    return tuple(SignalBuffer(_Owned(row), signal.sample_rate) for row in y)

@@ -25,7 +25,7 @@ from .filterbank import (
     BAND_FILTER_SPECS,
     DEFAULT_FILTER_ORDER,
     FilterStages,
-    apply_filter,
+    apply_filters,
     check_filter_order,
     design_bandpass,
 )
@@ -168,8 +168,7 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     cfg = pipeline.config
 
     source = multi_tone(scenario.tones, cfg.sample_rate, cfg.n_samples)
-    band3_full, band3_uplink, band3_downlink, band40 = (
-        apply_filter(stages, source) for stages in pipeline.filters)
+    band3_full, band3_uplink, band3_downlink, band40 = apply_filters(pipeline.filters, source)
 
     gate1 = trigger_chain(band3_uplink, cfg.trigger)
     gate2 = trigger_chain(band40, cfg.trigger)

@@ -15,6 +15,8 @@ from scipy.ndimage import maximum_filter1d
 import jamsim
 from jamsim import rng
 from jamsim.analysis import rms
+from jamsim.errors import InvalidParameter
+from jamsim.filterbank import BAND_FILTER_SPECS, design_bandpass
 from jamsim.pipeline import MEASURE_SKIP_FRACTION
 from jamsim.trigger import TriggerConfig, default_envelope_window
 
@@ -185,3 +187,94 @@ def test_concurrent_runs_give_the_serial_bytes():
     assert not any(caller.is_alive() for caller in callers)
     assert errors == []
     assert results == [serial[k % 4] for k in range(len(results))]
+
+
+# The four band filters run as one bank: each row must give the bytes of the
+# filter run alone and of the single-product reference.  Lengths straddle one
+# block (64), 18 and 19 blocks (1152, 1216), a 64-block slice and the split.
+BANK_LENGTHS = [2, 63, 64, 65, 127, 128, 1151, 1152, 1215, 1216, 2048, 4095, 4096, 4097,
+                SPLIT - 1, SPLIT + 1, 2**20 + 3]
+
+
+def design_bank(fs, order=6):
+    return tuple(design_bandpass(spec, fs, order) for spec in BAND_FILTER_SPECS)
+
+
+def noise_buffer(n, fs):
+    return jamsim.SignalBuffer(np.random.default_rng(n).standard_normal(n), fs)
+
+
+@pytest.mark.parametrize("n", BANK_LENGTHS)
+def test_bank_rows_match_each_filter_alone_and_the_reference(n):
+    bank, x = design_bank(10e9), noise_buffer(n, 10e9)
+    rows = jamsim.apply_filters(bank, x)
+    assert len(rows) == len(bank)
+    for stages, row in zip(bank, rows):
+        assert row.sample_rate == x.sample_rate
+        assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
+        assert row.samples.tobytes() == reference_filter(stages, x.samples).tobytes()
+
+
+@pytest.mark.parametrize("n", [1151, SPLIT + 7])
+@pytest.mark.parametrize("fs", [5e9, 10e9])
+@pytest.mark.parametrize("order", [2, 12, 24])
+def test_bank_rows_match_each_filter_alone_at_other_orders(order, fs, n):
+    bank, x = design_bank(fs, order), noise_buffer(n, fs)
+    for stages, row in zip(bank, jamsim.apply_filters(bank, x)):
+        assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
+
+
+def test_a_filter_designed_at_another_rate_is_rejected():
+    bank = design_bank(10e9)[:3] + (design_bandpass(BAND_FILTER_SPECS[3], 5e9),)
+    with pytest.raises(InvalidParameter, match="filter designed for 5000000000.0 Hz"):
+        jamsim.apply_filters(bank, noise_buffer(4096, 10e9))
+
+
+@pytest.mark.parametrize("n,size,threads", [
+    (SPLIT - 1, 4, 0),  # no pass splits a short buffer
+    (SPLIT + 1, 1, 2),  # end states and outputs split; one filter's scan stays here
+    (SPLIT + 1, 4, 3),  # the scans split by filter too
+])
+def test_threads_a_bank_starts(monkeypatch, n, size, threads):
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    jamsim.apply_filters(design_bank(10e9)[:size], noise_buffer(n, 10e9))
+    assert len(started) == threads
+
+
+class FailingSteps:
+    """Scan steps that raise when a helper thread iterates them."""
+
+    def __init__(self, steps, boom, raised_in):
+        self.steps, self.boom, self.raised_in = steps, boom, raised_in
+
+    def __iter__(self):
+        if threading.current_thread() is not threading.main_thread():
+            self.raised_in.append(threading.current_thread().name)
+            raise self.boom
+        return iter(self.steps)
+
+
+def test_an_error_in_the_helper_scan_half_surfaces_unchanged():
+    bank = design_bank(10e9)  # designed here: the failing steps go on this bank only
+    boom, raised_in = Boom("helper scan"), []
+    object.__setattr__(bank[3], "_scan_steps", FailingSteps(bank[3]._scan_steps, boom, raised_in))
+    before = threading.active_count()
+    with pytest.raises(Boom) as err:
+        jamsim.apply_filters(bank, noise_buffer(SPLIT + 1, 10e9))
+    assert err.value is boom
+    assert raised_in
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("order", [2, 6, 24])
+def test_the_toeplitz_transpose_is_contiguous_and_read_only(order):
+    for stages in design_bank(10e9, order):
+        t = stages._toeplitz_t
+        assert t.flags.c_contiguous and not t.flags.writeable
+        assert np.array_equal(t, stages._toeplitz.T)
