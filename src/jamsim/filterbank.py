@@ -20,9 +20,10 @@ block k alone leaves in the state; a doubling scan (Blelloch 1990,
 "Prefix sums and their applications"; Martin & Cundy 2018,
 "Parallelizing linear recurrent neural nets over sequence length")
 solves it in log2(blocks) matrix products.  `FilterStages` builds these
-matrices once, at design time.  `apply_filters` runs a bank in three passes,
-each product small enough for its calling thread alone; long buffers split
-the end states and outputs by block, and the scans by filter, over two threads.
+matrices once, at design time.  `apply_filters` runs a bank of one order in
+three passes, one stacked product per piece and scan step for the whole bank,
+each small enough for its calling thread alone; long buffers split the end
+states and outputs by block, and the scans by filter, over two threads.
 """
 
 from __future__ import annotations
@@ -295,25 +296,34 @@ def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
 def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
     """Run every cascade in `bank`, a tuple of `FilterStages`, over one buffer (zero state).
 
-    The buffers are rows of one array: one kept on its own keeps the bank's array alive.
+    A bank shares one order.  Its buffers are rows of one array, which one row kept alone keeps.
     """
+    if not bank:
+        return ()
+    x, n_states = signal.samples, 2 * len(bank[0].sos)
     for stages in bank:
         if signal.sample_rate != stages.sample_rate:
             raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
                                    f"{stages.sample_rate} Hz")
-    x = signal.samples
+        if 2 * len(stages.sos) != n_states:
+            raise InvalidParameter(f"a bank mixes orders {n_states} and {2 * len(stages.sos)}")
     n_blocks, tail = divmod(x.size, BLOCK_LEN)
+    shifts = [1 << i for i in range(max(n_blocks - 1, 0).bit_length())]  # 1, 2, 4, ... < n_blocks
+    filters = sorted(bank, key=lambda stages: -len(stages._scan_steps))  # longest scans first
+    n_steps = [min(len(stages._scan_steps), len(shifts)) for stages in filters]
     blocks = x[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
-    # starts[f][:, k] is the state filter f's block k starts in; block 0 starts at zero.
-    starts = [np.zeros((len(stages._state_in), n_blocks + 1)) for stages in bank]
+    # starts[f, :, k] is the state filter f's block k starts in; block 0 starts at zero.
+    starts = np.zeros((len(bank), n_states, n_blocks + 1))
     y = np.empty((len(bank), x.size))
     out = y[:, :x.size - tail].reshape(len(bank), n_blocks, BLOCK_LEN)
+    state_in = np.array([stages._state_in for stages in filters])
+    toeplitz_t = np.array([stages._toeplitz_t for stages in filters])[:, None]
+    steps = np.empty((len(bank), max(n_steps), n_states, n_states))  # each scan half fills its own
 
-    def most(states, width):  # blocks per product of `width` columns per block
-        return min(max(1, _PRODUCT_MULADDS // (width * states)), n_blocks)
-    room = max((most(len(st), w) * w for st in starts for w in (BLOCK_LEN, len(st))), default=0)
-    scratch = np.empty((2, room))  # per half, the largest state or scan product piece
-    shifts = [1 << i for i in range(max(n_blocks - 1, 0).bit_length())]  # 1, 2, 4, ... < n_blocks
+    def most(width):  # blocks per product of `width` columns per block
+        return max(1, min(_PRODUCT_MULADDS // (width * n_states), n_blocks))
+    per, room = most(n_states), max(most(BLOCK_LEN) * BLOCK_LEN, most(n_states) * n_states)
+    scratch = np.empty((2, room))  # per half, the largest state product or scan stack piece
 
     def pieces(lo, hi, most):  # equal spans of at most `most` blocks
         if hi - lo <= most:
@@ -322,30 +332,32 @@ def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
         return [(lo + (hi - lo) * i // k, lo + (hi - lo) * (i + 1) // k) for i in range(k)]
 
     def end_states(half, lo, hi):  # the state each block alone leaves
-        for stages, st in zip(bank, starts):
-            for a, b in pieces(lo, hi, most(len(st), BLOCK_LEN)):
-                np.matmul(stages._state_in, blocks[a:b].T, out=st[:, a + 1:b + 1])
+        for a, b in pieces(lo, hi, most(BLOCK_LEN)):
+            np.matmul(state_in, blocks[a:b].T, out=starts[:, :, a + 1:b + 1])
 
     def scans(half, lo, hi):
-        # Hillis-Steele scan: after the step with shift, ends[:, k] holds the
-        # state blocks k-2*shift+1 .. k leave at the end of block k.  Right to
-        # left, each piece reads states this step has not changed yet.
-        for stages, st in zip(bank[lo:hi], starts[lo:hi]):
-            ends, per = st[:, 1:], most(len(st), len(st))
-            for step, shift in zip(stages._scan_steps, shifts):
+        # Hillis-Steele scan: after the step with shift, ends[f, :, k] is the state blocks
+        # k-2*shift+1 .. k leave at block k's end; right to left, pieces read unchanged states.
+        for f in range(lo, hi):
+            steps[f, :n_steps[f]] = filters[f]._scan_steps[:n_steps[f]]
+        size = room // (n_states * per)  # filters whose pieces fit the scratch together
+        for first in range(lo, hi, size):
+            for i, shift in enumerate(shifts[:n_steps[first]]):
+                live = sum(i < n for n in n_steps[first:hi][:size])  # no zero step: -0.0 stays
+                ends, step = starts[first:first + live, :, 1:], steps[first:first + live, i]
                 for a, b in pieces(shift, n_blocks, per)[::-1]:
-                    term = scratch[half, :len(st) * (b - a)].reshape(len(st), b - a)
-                    ends[:, a:b] += np.matmul(step, ends[:, a - shift:b - shift], out=term)
+                    term = scratch[half, :live * n_states * (b - a)].reshape(live, n_states, b - a)
+                    ends[:, :, a:b] += np.matmul(step, ends[:, :, a - shift:b - shift], out=term)
 
     def outputs(half, lo, hi):  # Toeplitz products of BLOCK_LEN blocks, then the start states
         whole, shape = lo + (hi - lo) // BLOCK_LEN * BLOCK_LEN, (-1, BLOCK_LEN, BLOCK_LEN)
-        for stages, st, o in zip(bank, starts, out):
-            np.matmul(blocks[lo:whole].reshape(shape), stages._toeplitz_t,
-                      out=o[lo:whole].reshape(shape))
+        np.matmul(blocks[lo:whole].reshape(shape), toeplitz_t,
+                  out=out[:, lo:whole].reshape((len(bank),) + shape))
+        for stages, st, o in zip(filters, starts, out):
             if whole < hi:  # the last BLOCK_LEN blocks once more, so no product is shorter
                 rest = max(lo, hi - BLOCK_LEN)
                 np.matmul(blocks[rest:hi], stages._toeplitz.T, out=o[rest:hi])
-            for a, b in pieces(lo, hi, most(len(st), BLOCK_LEN)):
+            for a, b in pieces(lo, hi, most(BLOCK_LEN)):
                 term = scratch[half, :(b - a) * BLOCK_LEN].reshape(b - a, BLOCK_LEN)
                 o[a:b] += np.matmul(st[:, a:b].T, stages._state_out.T, out=term)
 
@@ -353,7 +365,7 @@ def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
     _in_halves(scans, 0, len(bank), x.size if len(bank) > 1 else 0)
     _in_halves(outputs, 0, n_blocks, x.size)
     if tail:
-        for stages, st, row in zip(bank, starts, y):
+        for stages, st, row in zip(filters, starts, y):
             row[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
                            + stages._state_out[:tail] @ st[:, n_blocks])
-    return tuple(SignalBuffer(_Owned(row), signal.sample_rate) for row in y)
+    return tuple(SignalBuffer(_Owned(y[filters.index(f)]), signal.sample_rate) for f in bank)

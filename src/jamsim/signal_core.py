@@ -10,6 +10,7 @@ The noise streams themselves come from `jamsim.rng`.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ _BLOCK = 16384
 def check_sample_rate(sample_rate: float) -> float:
     """`sample_rate` as a float; InvalidParameter unless finite and > 0."""
     rate = float(sample_rate)
-    if not np.isfinite(rate) or rate <= 0.0:
+    if not math.isfinite(rate) or rate <= 0.0:
         raise InvalidParameter(f"sample_rate must be finite and > 0, got {sample_rate!r}",
                                "sample_rate")
     return rate
@@ -92,7 +93,7 @@ class SignalBuffer:
     def __post_init__(self):
         rate = check_sample_rate(self.sample_rate)
         arr = _as_readonly_f64(self.samples)
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             raise InvalidParameter("samples must all be finite")
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", rate)

@@ -57,7 +57,7 @@ class GateLine:
 
     def __post_init__(self):
         arr = _as_readonly_f64(self.levels)
-        if not np.all((arr == 0.0) | (arr == self.high_level)):
+        if not ((arr == 0.0) | (arr == self.high_level)).all():
             raise InvalidParameter("gate levels must be exactly 0 or exactly high_level")
         object.__setattr__(self, "levels", arr)
 

@@ -147,6 +147,11 @@ class TestRunScenario:
         assert np.all(report.branch_buffers["jammer1"].samples == 0.0)
         assert np.all(report.branch_buffers["jammer2"].samples == 0.0)
 
+    def test_silence_gives_positive_zeros_in_every_branch(self, pipeline):
+        report = run_scenario(pipeline, Scenario(name="silence", tones=()))
+        for name, buffer in report.branch_buffers.items():
+            assert buffer.samples.tobytes() == bytes(buffer.samples.nbytes), name  # +0.0 only
+
     def test_jamming_happens_exactly_when_its_trigger_fires(self, pipeline):
         for seed in (1, 2, 3):
             cfg = default_pipeline_config(seed=seed)

@@ -228,6 +228,23 @@ def test_a_filter_designed_at_another_rate_is_rejected():
         jamsim.apply_filters(bank, noise_buffer(4096, 10e9))
 
 
+@pytest.mark.parametrize("n", [0, 4096, SPLIT + 1])
+def test_an_empty_bank_gives_no_rows(n):
+    assert jamsim.apply_filters((), noise_buffer(n, 10e9)) == ()
+
+
+def test_a_bank_that_mixes_orders_is_rejected():
+    bank = design_bank(10e9)[:3] + (jamsim.design_bandpass(jamsim.BAND_FILTER_SPECS[3], 10e9, 12),)
+    with pytest.raises(jamsim.InvalidParameter, match="mixes orders 6 and 12"):
+        jamsim.apply_filters(bank, noise_buffer(4096, 10e9))
+
+
+@pytest.mark.parametrize("n", [4096, SPLIT + 1])
+def test_an_all_zero_input_gives_positive_zero_rows(n):
+    for row in jamsim.apply_filters(design_bank(10e9), jamsim.SignalBuffer(np.zeros(n), 10e9)):
+        assert not np.signbit(row.samples).any()
+
+
 @pytest.mark.parametrize("n,size,threads", [
     (SPLIT - 1, 4, 0),  # no pass splits a short buffer
     (SPLIT + 1, 1, 2),  # end states and outputs split; one filter's scan stays here
@@ -246,22 +263,26 @@ def test_threads_a_bank_starts(monkeypatch, n, size, threads):
 
 
 class FailingSteps:
-    """Scan steps that raise when a helper thread iterates them."""
+    """Scan steps that raise when a helper thread reads them; their count reads anywhere."""
 
     def __init__(self, steps, boom, raised_in):
         self.steps, self.boom, self.raised_in = steps, boom, raised_in
 
-    def __iter__(self):
+    def __len__(self):
+        return len(self.steps)
+
+    def __getitem__(self, index):
         if threading.current_thread() is not threading.main_thread():
             self.raised_in.append(threading.current_thread().name)
             raise self.boom
-        return iter(self.steps)
+        return self.steps[index]
 
 
 def test_an_error_in_the_helper_scan_half_surfaces_unchanged():
     bank = design_bank(10e9)  # designed here: the failing steps go on this bank only
     boom, raised_in = Boom("helper scan"), []
-    object.__setattr__(bank[3], "_scan_steps", FailingSteps(bank[3]._scan_steps, boom, raised_in))
+    for stages in bank:  # whichever filters the helper scans, it reads their steps first
+        object.__setattr__(stages, "_scan_steps", FailingSteps(stages._scan_steps, boom, raised_in))
     before = threading.active_count()
     with pytest.raises(Boom) as err:
         jamsim.apply_filters(bank, noise_buffer(SPLIT + 1, 10e9))
