@@ -296,7 +296,7 @@ def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
 def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
     """Run every cascade in `bank`, a tuple of `FilterStages`, over one buffer (zero state).
 
-    A bank shares one order.  Its buffers are rows of one array, which one row kept alone keeps.
+    A bank shares one order.  Its buffers are rows of one array: one kept alone keeps it alive.
     """
     if not bank:
         return ()
