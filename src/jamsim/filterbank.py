@@ -23,7 +23,10 @@ solves it in log2(blocks) matrix products.  `FilterStages` builds these
 matrices once, at design time.  `apply_filters` runs a bank of one order in
 three passes, one stacked product per piece and scan step for the whole bank,
 each small enough for its calling thread alone; long buffers split the end
-states and outputs by block, and the scans by filter, over two threads.
+states and outputs by block, and the scans by filter, over two threads.  The
+passes run from a read-only plan of the bank: its filters in scan-length order
+and their matrices and scan steps stacked.  A `Pipeline` plans its filters once;
+`apply_filters` plans on each call, for the same bytes.
 """
 
 from __future__ import annotations
@@ -297,28 +300,58 @@ def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
     """Run every cascade in `bank`, a tuple of `FilterStages`, over one buffer (zero state).
 
     A bank shares one order.  Its buffers are rows of one array: one kept alone keeps it alive.
+    The bank is planned on each call; a `Pipeline` plans its filters once.
     """
-    if not bank:
-        return ()
-    x, n_states = signal.samples, 2 * len(bank[0].sos)
+    return _run_bank(_plan_bank(bank), signal) if bank else ()
+
+
+@dataclass(frozen=True, eq=False)
+class _BankPlan:
+    """A bank's filters in scan-length order (longest first), `rows[k]` the row of its filter k,
+    and their matrices stacked read-only: ``steps[f, :n_steps[f]]`` are filter f's scan steps."""
+
+    filters: tuple[FilterStages, ...]
+    rows: tuple[int, ...]
+    n_steps: tuple[int, ...]
+    state_in: np.ndarray
+    toeplitz_t: np.ndarray
+    steps: np.ndarray
+
+
+def _plan_bank(bank) -> _BankPlan:
+    """Stack a non-empty bank's matrices for `_run_bank`; InvalidParameter if it mixes orders."""
+    n_states = 2 * len(bank[0].sos)
     for stages in bank:
+        if 2 * len(stages.sos) != n_states:
+            raise InvalidParameter(f"a bank mixes orders {n_states} and {2 * len(stages.sos)}")
+    filters = tuple(sorted(bank, key=lambda stages: -len(stages._scan_steps)))
+    n_steps = tuple(len(stages._scan_steps) for stages in filters)
+    steps = np.zeros((len(filters), n_steps[0], n_states, n_states))
+    for f, stages in enumerate(filters):
+        steps[f, :n_steps[f]] = stages._scan_steps
+    plan = _BankPlan(filters, tuple(filters.index(stages) for stages in bank), n_steps,
+                     np.array([stages._state_in for stages in filters]),
+                     np.array([stages._toeplitz_t for stages in filters])[:, None], steps)
+    for array in (plan.state_in, plan.toeplitz_t, plan.steps):
+        array.setflags(write=False)
+    return plan
+
+
+def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
+    """`apply_filters` of the planned bank: three passes, split in halves from 2**17 samples up."""
+    x, filters, (n_bank, n_states) = signal.samples, plan.filters, plan.state_in.shape[:2]
+    for stages in filters:
         if signal.sample_rate != stages.sample_rate:
             raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
                                    f"{stages.sample_rate} Hz")
-        if 2 * len(stages.sos) != n_states:
-            raise InvalidParameter(f"a bank mixes orders {n_states} and {2 * len(stages.sos)}")
     n_blocks, tail = divmod(x.size, BLOCK_LEN)
     shifts = [1 << i for i in range(max(n_blocks - 1, 0).bit_length())]  # 1, 2, 4, ... < n_blocks
-    filters = sorted(bank, key=lambda stages: -len(stages._scan_steps))  # longest scans first
-    n_steps = [min(len(stages._scan_steps), len(shifts)) for stages in filters]
+    n_steps = [min(n, len(shifts)) for n in plan.n_steps]
     blocks = x[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
     # starts[f, :, k] is the state filter f's block k starts in; block 0 starts at zero.
-    starts = np.zeros((len(bank), n_states, n_blocks + 1))
-    y = np.empty((len(bank), x.size))
-    out = y[:, :x.size - tail].reshape(len(bank), n_blocks, BLOCK_LEN)
-    state_in = np.array([stages._state_in for stages in filters])
-    toeplitz_t = np.array([stages._toeplitz_t for stages in filters])[:, None]
-    steps = np.empty((len(bank), max(n_steps), n_states, n_states))  # each scan half fills its own
+    starts = np.zeros((n_bank, n_states, n_blocks + 1))
+    y = np.empty((n_bank, x.size))
+    out = y[:, :x.size - tail].reshape(n_bank, n_blocks, BLOCK_LEN)
 
     def most(width):  # blocks per product of `width` columns per block
         return max(1, min(_PRODUCT_MULADDS // (width * n_states), n_blocks))
@@ -333,26 +366,24 @@ def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
 
     def end_states(half, lo, hi):  # the state each block alone leaves
         for a, b in pieces(lo, hi, most(BLOCK_LEN)):
-            np.matmul(state_in, blocks[a:b].T, out=starts[:, :, a + 1:b + 1])
+            np.matmul(plan.state_in, blocks[a:b].T, out=starts[:, :, a + 1:b + 1])
 
     def scans(half, lo, hi):
         # Hillis-Steele scan: after the step with shift, ends[f, :, k] is the state blocks
         # k-2*shift+1 .. k leave at block k's end; right to left, pieces read unchanged states.
-        for f in range(lo, hi):
-            steps[f, :n_steps[f]] = filters[f]._scan_steps[:n_steps[f]]
         size = room // (n_states * per)  # filters whose pieces fit the scratch together
         for first in range(lo, hi, size):
             for i, shift in enumerate(shifts[:n_steps[first]]):
                 live = sum(i < n for n in n_steps[first:hi][:size])  # no zero step: -0.0 stays
-                ends, step = starts[first:first + live, :, 1:], steps[first:first + live, i]
+                ends, step = starts[first:first + live, :, 1:], plan.steps[first:first + live, i]
                 for a, b in pieces(shift, n_blocks, per)[::-1]:
                     term = scratch[half, :live * n_states * (b - a)].reshape(live, n_states, b - a)
                     ends[:, :, a:b] += np.matmul(step, ends[:, :, a - shift:b - shift], out=term)
 
     def outputs(half, lo, hi):  # Toeplitz products of BLOCK_LEN blocks, then the start states
         whole, shape = lo + (hi - lo) // BLOCK_LEN * BLOCK_LEN, (-1, BLOCK_LEN, BLOCK_LEN)
-        np.matmul(blocks[lo:whole].reshape(shape), toeplitz_t,
-                  out=out[:, lo:whole].reshape((len(bank),) + shape))
+        np.matmul(blocks[lo:whole].reshape(shape), plan.toeplitz_t,
+                  out=out[:, lo:whole].reshape((n_bank,) + shape))
         for stages, st, o in zip(filters, starts, out):
             if whole < hi:  # the last BLOCK_LEN blocks once more, so no product is shorter
                 rest = max(lo, hi - BLOCK_LEN)
@@ -362,10 +393,10 @@ def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
                 o[a:b] += np.matmul(st[:, a:b].T, stages._state_out.T, out=term)
 
     _in_halves(end_states, 0, n_blocks, x.size)
-    _in_halves(scans, 0, len(bank), x.size if len(bank) > 1 else 0)
+    _in_halves(scans, 0, n_bank, x.size if n_bank > 1 else 0)
     _in_halves(outputs, 0, n_blocks, x.size)
     if tail:
         for stages, st, row in zip(filters, starts, y):
             row[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
                            + stages._state_out[:tail] @ st[:, n_blocks])
-    return tuple(SignalBuffer(_Owned(y[filters.index(f)]), signal.sample_rate) for f in bank)
+    return tuple(SignalBuffer(_Owned(y[row]), signal.sample_rate) for row in plan.rows)

@@ -1,20 +1,24 @@
 """End-to-end wiring: input -> four band filters -> triggers -> gated jammers.
 
 A `Pipeline` is its `PipelineConfig` plus the four filters designed from
-it in `BAND_FILTER_SPECS` order (``filters[k - 1]`` is filter k);
-`run_scenario` reads the trigger and jammer settings from the config.
+it in `BAND_FILTER_SPECS` order (``filters[k - 1]`` is filter k), planned
+once as one read-only bank; `run_scenario` runs the bank from that plan and
+reads the trigger and jammer settings from the config.
 Band 3 is FDD, so detection and jamming use different filters: the
 uplink filter (2) feeds trigger 1 and the downlink filter (3) feeds
 jammer 1.  Band 40 is TDD and shares one allocation, so filter 4 feeds
 both trigger 2 and jammer 2.  Filter 1 (the full Band 3 span) is
 designed and its output exported for inspection, but drives no branch.
 Stages run whole-buffer, one at a time; every stage is causal and
-feed-forward, so this matches sample-interleaved execution exactly.
+feed-forward, so this matches sample-interleaved execution exactly.  A
+jammer whose settled gate is never high emits exact zeros there, so its RMS
+is 0.0 without a pass over its buffer, as the circuit spends no power on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -25,7 +29,9 @@ from .filterbank import (
     BAND_FILTER_SPECS,
     DEFAULT_FILTER_ORDER,
     FilterStages,
-    apply_filters,
+    _BankPlan,
+    _plan_bank,
+    _run_bank,
     check_filter_order,
     design_bandpass,
 )
@@ -75,7 +81,7 @@ class PipelineConfig:
         if not 2 <= self.n_samples <= MAX_N_SAMPLES:
             raise InvalidParameter(f"n_samples must lie in 2..{MAX_N_SAMPLES}, "
                                    f"got {self.n_samples!r}", "n_samples")
-        self._jammer(self.seed)  # checks gain, both sigmas and seed
+        self.jammer3  # checks gain, both sigmas and seed
 
     @property
     def measure_skip_fraction(self) -> float:
@@ -85,12 +91,12 @@ class PipelineConfig:
     def _jammer(self, seed: int) -> JammerConfig:
         return JammerConfig(self.gain, NoiseSpec(self.gaussian_sigma, self.rayleigh_sigma, seed))
 
-    @property
+    @cached_property
     def jammer3(self) -> JammerConfig:
         """The Band 3 jammer: the shared settings, noise seed `seed`."""
         return self._jammer(self.seed)
 
-    @property
+    @cached_property
     def jammer40(self) -> JammerConfig:
         """The Band 40 jammer: the shared settings, the next noise seed."""
         return self._jammer(self.seed + 1)
@@ -139,11 +145,14 @@ class Pipeline:
 
     config: PipelineConfig
     filters: tuple[FilterStages, ...] = field(init=False)
+    #: The filters planned once as one bank; `run_scenario` runs them from it.
+    _bank: _BankPlan = field(init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.config
         object.__setattr__(self, "filters", tuple(
             design_bandpass(spec, cfg.sample_rate, cfg.filter_order) for spec in BAND_FILTER_SPECS))
+        object.__setattr__(self, "_bank", _plan_bank(self.filters))
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
@@ -151,16 +160,14 @@ def build_pipeline(config: PipelineConfig) -> Pipeline:
     return Pipeline(config)
 
 
-def _settle(gate: GateLine, skip_fraction: float) -> tuple[float, bool]:
-    """Modal gate level after the skip region, plus whether it was constant."""
-    start = int(skip_fraction * len(gate))
-    tail = gate.levels[start:]
-    if tail.size == 0:
-        return 0.0, True
+def _settle(gate: GateLine, jammed: SignalBuffer, skip: float) -> tuple[float, bool, float]:
+    """Modal gate level after the skip region, whether it was constant, and the jammer's RMS
+    there: 0.0 unread if no gate sample there is high, as `jam` then left exact zeros."""
+    tail = gate.levels[int(skip * len(gate)):]
     n_high = int(np.count_nonzero(tail))
     level = gate.high_level if n_high > tail.size - n_high else 0.0
     stable = n_high == 0 or n_high == tail.size
-    return level, stable
+    return level, stable, rms(jammed, skip) if n_high else 0.0
 
 
 def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
@@ -168,24 +175,23 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     cfg = pipeline.config
 
     source = multi_tone(scenario.tones, cfg.sample_rate, cfg.n_samples)
-    band3_full, band3_uplink, band3_downlink, band40 = apply_filters(pipeline.filters, source)
+    band3_full, band3_uplink, band3_downlink, band40 = _run_bank(pipeline._bank, source)
 
     gate1 = trigger_chain(band3_uplink, cfg.trigger)
     gate2 = trigger_chain(band40, cfg.trigger)
     jam1 = jam(band3_downlink, gate1, cfg.jammer3)
     jam2 = jam(band40, gate2, cfg.jammer40)
 
-    skip = MEASURE_SKIP_FRACTION
-    level1, stable1 = _settle(gate1, skip)
-    level2, stable2 = _settle(gate2, skip)
+    level1, stable1, rms1 = _settle(gate1, jam1, MEASURE_SKIP_FRACTION)
+    level2, stable2, rms2 = _settle(gate2, jam2, MEASURE_SKIP_FRACTION)
 
     return ScenarioReport(
         trigger1_level=level1,
         trigger2_level=level2,
         trigger1_stable=stable1,
         trigger2_stable=stable2,
-        jammer1_rms=rms(jam1, skip),
-        jammer2_rms=rms(jam2, skip),
+        jammer1_rms=rms1,
+        jammer2_rms=rms2,
         branch_buffers={
             "input": source,
             "filter1": band3_full,

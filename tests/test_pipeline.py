@@ -1,22 +1,28 @@
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jamsim.analysis import rms
 from jamsim.errors import InvalidParameter
 from jamsim.filterbank import BAND_FILTER_SPECS, FilterStages, frequency_response
-from jamsim.jammer import JammerConfig
+from jamsim.jammer import JammerConfig, jam
 from jamsim.pipeline import (
     MEASURE_SKIP_FRACTION,
     PipelineConfig,
     Scenario,
+    _settle,
     build_pipeline,
     builtin_scenarios,
     default_pipeline_config,
     run_scenario,
 )
-from jamsim.signal_core import NoiseSpec, ToneSpec
-from jamsim.trigger import TriggerConfig
+from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec
+from jamsim.trigger import GateLine, TriggerConfig
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios.py"
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +190,37 @@ class TestRunScenario:
     def test_tone_above_nyquist_is_rejected_at_run_time(self, pipeline):
         with pytest.raises(InvalidParameter, match="Nyquist"):
             run_scenario(pipeline, single_tone_scenario(6000.0))
+
+
+class TestSettledJammerRms:
+    """The settle pass gives each jammer's RMS: without a pass when its settled gate is low."""
+
+    @pytest.mark.parametrize("n", [4096, 1001])
+    @pytest.mark.parametrize("high", ["skip-region-only", "last-sample-only", "none", "all"])
+    def test_equals_rms_of_the_jammer_bit_for_bit(self, n, high):
+        start = int(MEASURE_SKIP_FRACTION * n)
+        levels = np.zeros(n)
+        levels[{"skip-region-only": slice(0, start), "last-sample-only": slice(n - 1, n),
+                "none": slice(0, 0), "all": slice(0, n)}[high]] = 5.0
+        gate = GateLine(levels, 10e9)
+        signal = SignalBuffer(np.random.default_rng(n).standard_normal(n), 10e9)
+        jammed = jam(signal, gate, JammerConfig())
+        want = rms(jammed, MEASURE_SKIP_FRACTION)
+        assert _settle(gate, jammed, MEASURE_SKIP_FRACTION)[2].hex() == want.hex()
+        if high == "skip-region-only":
+            assert np.count_nonzero(jammed.samples[:start]) and want == 0.0
+
+    def test_reports_equal_rms_of_their_jammer_buffers(self, pipeline):
+        generated = runpy.run_path(str(SCENARIOS), run_name="perfbench_scenarios")["generate_pool"]
+        scenarios = builtin_scenarios() + [  # two of each none/band3/band40/both cell
+            Scenario(gen.name, tuple(ToneSpec(t.freq_hz, t.amplitude_v, t.phase_rad)
+                                     for t in gen.tones))
+            for gen in generated(3, 2)]
+        for scenario in scenarios:
+            report = run_scenario(pipeline, scenario)
+            for k, got in ((1, report.jammer1_rms), (2, report.jammer2_rms)):
+                want = rms(report.branch_buffers[f"jammer{k}"], MEASURE_SKIP_FRACTION)
+                assert got.hex() == want.hex(), (scenario.name, k)
 
 
 class TestSweepSpotChecks:

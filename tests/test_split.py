@@ -7,14 +7,16 @@ single-pass versions of each stage, as they stood before the split.
 
 import sys
 import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter1d
 
 import jamsim
-from jamsim import rng
+from jamsim import filterbank, rng
 from jamsim.analysis import rms
+from jamsim.filterbank import _run_bank
 from jamsim.pipeline import MEASURE_SKIP_FRACTION
 from jamsim.trigger import TriggerConfig, default_envelope_window
 
@@ -239,6 +241,54 @@ def test_a_bank_that_mixes_orders_is_rejected():
         jamsim.apply_filters(bank, noise_buffer(4096, 10e9))
 
 
+# A Pipeline plans its bank once; the public apply_filters plans on each call.
+PLAN_CASES = ([(6, n) for n in (2, 63, 64, 65, 4096, SPLIT + 1)]
+              + [(order, n) for order in (2, 12, 24) for n in (1151, SPLIT + 7)])
+
+
+@pytest.mark.parametrize("order,n", PLAN_CASES)
+def test_a_pipelines_plan_gives_the_bytes_of_a_public_call(order, n):
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(filter_order=order))
+    x = noise_buffer(n, pipeline.config.sample_rate)
+    rows, public = _run_bank(pipeline._bank, x), jamsim.apply_filters(pipeline.filters, x)
+    assert len(rows) == 4
+    for stages, row, want in zip(pipeline.filters, rows, public):
+        assert row.samples.tobytes() == want.samples.tobytes()
+        if (order, n) != (24, SPLIT + 7):  # there the one-product reference rounds otherwise
+            assert row.samples.tobytes() == reference_filter(stages, x.samples).tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 6, 24])
+def test_a_plan_is_read_only_and_holds_every_filters_steps(order):
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(filter_order=order))
+    plan = pipeline._bank
+    arrays = [getattr(plan, f.name) for f in fields(plan)
+              if isinstance(getattr(plan, f.name), np.ndarray)]
+    assert len(arrays) == 3
+    assert not any(array.flags.writeable for array in arrays)
+    assert [plan.filters[row] for row in plan.rows] == list(pipeline.filters)
+    assert list(plan.n_steps) == sorted(plan.n_steps, reverse=True)
+    for stages, n_steps, steps in zip(plan.filters, plan.n_steps, plan.steps):
+        assert np.array_equal(steps[:n_steps], stages._scan_steps) and not steps[n_steps:].any()
+
+
+def test_replacing_the_config_plans_the_new_filters():
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=SPLIT + 7))
+    twelve = replace(pipeline, config=replace(pipeline.config, filter_order=12))
+    assert twelve._bank.state_in.shape[:2] == (4, 12)  # six sections, two states each
+    assert set(twelve._bank.filters) == set(twelve.filters)
+    report = jamsim.run_scenario(twelve, jamsim.builtin_scenarios()[3])
+    for k, stages in enumerate(twelve.filters, 1):
+        alone = jamsim.apply_filter(stages, report.branch_buffers["input"])
+        assert report.branch_buffers[f"filter{k}"].samples.tobytes() == alone.samples.tobytes()
+
+
+def test_a_pipelines_plan_rejects_a_buffer_at_another_rate():
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config())
+    with pytest.raises(jamsim.InvalidParameter, match="filter designed for 10000000000.0 Hz"):
+        _run_bank(pipeline._bank, noise_buffer(4096, 5e9))
+
+
 @pytest.mark.parametrize("n", [4096, SPLIT + 1])
 def test_an_all_zero_input_gives_positive_zero_rows(n):
     for row in jamsim.apply_filters(design_bank(10e9), jamsim.SignalBuffer(np.zeros(n), 10e9)):
@@ -262,30 +312,29 @@ def test_threads_a_bank_starts(monkeypatch, n, size, threads):
     assert len(started) == threads
 
 
-class FailingSteps:
-    """Scan steps that raise when a helper thread reads them; their count reads anywhere."""
+class NumpyFailingInTheHelperScan:
+    """numpy, except that `matmul` raises when a helper thread's scan half calls it."""
 
-    def __init__(self, steps, boom, raised_in):
-        self.steps, self.boom, self.raised_in = steps, boom, raised_in
+    def __init__(self, boom, raised_in):
+        self.boom, self.raised_in = boom, raised_in
 
-    def __len__(self):
-        return len(self.steps)
+    def __getattr__(self, name):
+        return getattr(np, name)
 
-    def __getitem__(self, index):
-        if threading.current_thread() is not threading.main_thread():
+    def matmul(self, *args, **kwargs):
+        if (threading.current_thread() is not threading.main_thread()
+                and sys._getframe(1).f_code.co_name == "scans"):
             self.raised_in.append(threading.current_thread().name)
             raise self.boom
-        return self.steps[index]
+        return np.matmul(*args, **kwargs)
 
 
-def test_an_error_in_the_helper_scan_half_surfaces_unchanged():
-    bank = design_bank(10e9)  # designed here: the failing steps go on this bank only
+def test_an_error_in_the_helper_scan_half_surfaces_unchanged(monkeypatch):
     boom, raised_in = Boom("helper scan"), []
-    for stages in bank:  # whichever filters the helper scans, it reads their steps first
-        object.__setattr__(stages, "_scan_steps", FailingSteps(stages._scan_steps, boom, raised_in))
+    monkeypatch.setattr(filterbank, "np", NumpyFailingInTheHelperScan(boom, raised_in))
     before = threading.active_count()
     with pytest.raises(Boom) as err:
-        jamsim.apply_filters(bank, noise_buffer(SPLIT + 1, 10e9))
+        jamsim.apply_filters(design_bank(10e9), noise_buffer(SPLIT + 1, 10e9))
     assert err.value is boom
     assert raised_in
     assert threading.active_count() == before
