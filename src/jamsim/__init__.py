@@ -32,10 +32,8 @@ from .signal_core import NoiseSpec, SignalBuffer, ToneSpec, multi_tone
 from .trigger import (
     GateLine,
     TriggerConfig,
-    comparator,
     default_envelope_window,
     envelope,
-    full_wave_rectify,
     trigger_chain,
 )
 

@@ -10,9 +10,10 @@ Commands::
 `run` writes jammer1/jammer2/trigger1/trigger2 time series, the input
 spectrum and a JSON manifest into DIR, atomically: the directory is
 either complete or untouched.  An existing DIR is replaced only if it is
-empty or holds a jamsim manifest.json.  The JAMSIM_SEED environment
-variable overrides the default seed; an explicit [sim] seed or --seed
-flag wins over it.
+empty or holds a jamsim manifest.json, and an existing `response` FILE
+only if its first line is the response CSV header.  The JAMSIM_SEED
+environment variable overrides the default seed; an explicit [sim] seed
+or --seed flag wins over it.
 
 Exit codes: 0 ok; 1 for any invalid input or usage, an `InvalidParameter`
 (a `ParseError` also names its scenario-file line); 2 for a failed
@@ -61,6 +62,7 @@ _RUN_OUTPUTS = {
     "input_spectrum": "input_spectrum.csv",
     "manifest": "manifest.json",
 }
+_RESPONSE_HEADER = "freq_hz,magnitude_db,phase_rad"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +116,7 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
         try:
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidParameter(f"cannot read scenario file: {exc}") from None
         scenario, config = parse_scenario_file(text, default_seed=ambient)
     flags = {"seed": args.seed, "sample_rate": args.fs, "n_samples": args.samples}
@@ -182,6 +184,22 @@ def _is_jamsim_output(path: str) -> bool:
         return False
 
 
+def _is_response_csv(path: str) -> bool:
+    """True if `path` is a file whose first line is the `response` CSV header."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readline(len(_RESPONSE_HEADER) + 1) == _RESPONSE_HEADER + "\n"
+    except (OSError, ValueError):  # ValueError: not UTF-8
+        return False
+
+
+def _refuse_foreign(path: str, is_ours, what: str) -> None:
+    """InvalidParameter if `path` exists and `is_ours` says jamsim did not write it."""
+    if os.path.lexists(path) and not is_ours(path):
+        raise InvalidParameter(f"--out {path} exists and is not a jamsim {what}; "
+                               "refusing to replace it")
+
+
 @contextlib.contextmanager
 def _atomic_output(target: str):
     """Yield a path to write a file or directory at; on success, move it onto `target`.
@@ -210,9 +228,7 @@ def _atomic_output(target: str):
 
 def _cmd_run(args) -> int:
     scenario, config = _resolve_run(args)
-    if os.path.lexists(args.out) and not _is_jamsim_output(args.out):
-        raise InvalidParameter(f"--out {args.out} exists and is not a jamsim output directory; "
-                               "refusing to replace it")
+    _refuse_foreign(args.out, _is_jamsim_output, "output directory")
     report = run_scenario(build_pipeline(config), scenario)
     manifest = _manifest(scenario, config, report, args.reproducible)
     try:
@@ -247,11 +263,12 @@ def _cmd_scenarios() -> int:
 def _cmd_response(args) -> int:
     if not 1 <= args.filter <= 4:
         raise InvalidParameter("--filter must be in 1..4")
+    _refuse_foreign(args.out, _is_response_csv, "response CSV")
     stages = design_bandpass(BAND_FILTER_SPECS[args.filter - 1], DEFAULT_SAMPLE_RATE)
     freqs = np.linspace(0.0, stages.sample_rate / 2.0, 2049)
     mag_db, phase = frequency_response(stages, freqs)
     with _atomic_output(args.out) as path:
-        _write_csv(path, "freq_hz,magnitude_db,phase_rad", freqs, mag_db, phase)
+        _write_csv(path, _RESPONSE_HEADER, freqs, mag_db, phase)
     return 0
 
 

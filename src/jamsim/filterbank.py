@@ -24,9 +24,10 @@ matrices once, at design time.  `apply_filters` runs a bank of one order in
 three passes, one stacked product per piece and scan step for the whole bank,
 each small enough for its calling thread alone; long buffers split the end
 states and outputs by block, and the scans by filter, over two threads.  The
-passes run from a read-only plan of the bank: its filters in scan-length order
-and their matrices and scan steps stacked.  A `Pipeline` plans its filters once;
-`apply_filters` plans on each call, for the same bytes.
+passes run from a read-only plan of the bank: its filters in the order given,
+their matrices stacked and their scan steps zero-padded to the longest filter's.
+A `Pipeline` plans its filters once; `apply_filters` plans on each call, for the
+same bytes.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class FilterStages:
     spec: FilterSpec
     #: (BLOCK_LEN, BLOCK_LEN) lower-triangular Toeplitz of the impulse response.
     _toeplitz: np.ndarray = field(init=False, repr=False)
-    #: Its transpose, C-contiguous, for the 64-block products only.  OpenBLAS rounds 1-18 rows
-    #: differently with it: the "once more" product keeps ``_toeplitz.T``, the tail ``_toeplitz``.
-    _toeplitz_t: np.ndarray = field(init=False, repr=False)
     #: (BLOCK_LEN, n_states) rows ``C A^t``: a block's start state to its output.
     _state_out: np.ndarray = field(init=False, repr=False)
     #: (n_states, BLOCK_LEN) columns ``A^(L-1-j) B``: a block's input to its end state.
@@ -188,7 +186,6 @@ def _block_matrices(sos: np.ndarray) -> dict:
     toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
     return {
         "_toeplitz": toeplitz,
-        "_toeplitz_t": np.ascontiguousarray(toeplitz.T),
         "_state_out": out_rows,
         "_state_in": np.ascontiguousarray(in_cols[:, ::-1]),
         "_scan_steps": steps,
@@ -307,12 +304,10 @@ def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _BankPlan:
-    """A bank's filters in scan-length order (longest first), `rows[k]` the row of its filter k,
-    and their matrices stacked read-only: ``steps[f, :n_steps[f]]`` are filter f's scan steps."""
+    """A bank's filters in the order given, and their matrices stacked read-only: ``steps[f]``
+    is filter f's scan steps, then zeros up to the longest filter's."""
 
     filters: tuple[FilterStages, ...]
-    rows: tuple[int, ...]
-    n_steps: tuple[int, ...]
     state_in: np.ndarray
     toeplitz_t: np.ndarray
     steps: np.ndarray
@@ -324,14 +319,11 @@ def _plan_bank(bank) -> _BankPlan:
     for stages in bank:
         if 2 * len(stages.sos) != n_states:
             raise InvalidParameter(f"a bank mixes orders {n_states} and {2 * len(stages.sos)}")
-    filters = tuple(sorted(bank, key=lambda stages: -len(stages._scan_steps)))
-    n_steps = tuple(len(stages._scan_steps) for stages in filters)
-    steps = np.zeros((len(filters), n_steps[0], n_states, n_states))
-    for f, stages in enumerate(filters):
-        steps[f, :n_steps[f]] = stages._scan_steps
-    plan = _BankPlan(filters, tuple(filters.index(stages) for stages in bank), n_steps,
-                     np.array([stages._state_in for stages in filters]),
-                     np.array([stages._toeplitz_t for stages in filters])[:, None], steps)
+    steps = np.zeros((len(bank), max(len(s._scan_steps) for s in bank), n_states, n_states))
+    for f, stages in enumerate(bank):
+        steps[f, :len(stages._scan_steps)] = stages._scan_steps
+    plan = _BankPlan(tuple(bank), np.array([s._state_in for s in bank]),
+                     np.array([s._toeplitz.T for s in bank])[:, None], steps)
     for array in (plan.state_in, plan.toeplitz_t, plan.steps):
         array.setflags(write=False)
     return plan
@@ -345,8 +337,8 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
             raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
                                    f"{stages.sample_rate} Hz")
     n_blocks, tail = divmod(x.size, BLOCK_LEN)
-    shifts = [1 << i for i in range(max(n_blocks - 1, 0).bit_length())]  # 1, 2, 4, ... < n_blocks
-    n_steps = [min(n, len(shifts)) for n in plan.n_steps]
+    n_shifts = min(max(n_blocks - 1, 0).bit_length(), plan.steps.shape[1])
+    shifts = [1 << i for i in range(n_shifts)]  # 1, 2, 4, ... < n_blocks
     blocks = x[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
     # starts[f, :, k] is the state filter f's block k starts in; block 0 starts at zero.
     starts = np.zeros((n_bank, n_states, n_blocks + 1))
@@ -373,19 +365,20 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
         # k-2*shift+1 .. k leave at block k's end; right to left, pieces read unchanged states.
         size = room // (n_states * per)  # filters whose pieces fit the scratch together
         for first in range(lo, hi, size):
-            for i, shift in enumerate(shifts[:n_steps[first]]):
-                live = sum(i < n for n in n_steps[first:hi][:size])  # no zero step: -0.0 stays
-                ends, step = starts[first:first + live, :, 1:], plan.steps[first:first + live, i]
+            k = min(size, hi - first)
+            ends, steps = starts[first:first + k, :, 1:], plan.steps[first:first + k]
+            for i, shift in enumerate(shifts):
                 for a, b in pieces(shift, n_blocks, per)[::-1]:
-                    term = scratch[half, :live * n_states * (b - a)].reshape(live, n_states, b - a)
-                    ends[:, :, a:b] += np.matmul(step, ends[:, :, a - shift:b - shift], out=term)
+                    term = scratch[half, :k * n_states * (b - a)].reshape(k, n_states, b - a)
+                    ends[:, :, a:b] += np.matmul(steps[:, i], ends[:, :, a - shift:b - shift],
+                                                 out=term)
 
     def outputs(half, lo, hi):  # Toeplitz products of BLOCK_LEN blocks, then the start states
         whole, shape = lo + (hi - lo) // BLOCK_LEN * BLOCK_LEN, (-1, BLOCK_LEN, BLOCK_LEN)
         np.matmul(blocks[lo:whole].reshape(shape), plan.toeplitz_t,
                   out=out[:, lo:whole].reshape((n_bank,) + shape))
         for stages, st, o in zip(filters, starts, out):
-            if whole < hi:  # the last BLOCK_LEN blocks once more, so no product is shorter
+            if whole < hi:  # the last BLOCK_LEN blocks once more; toeplitz_t rounds them otherwise
                 rest = max(lo, hi - BLOCK_LEN)
                 np.matmul(blocks[rest:hi], stages._toeplitz.T, out=o[rest:hi])
             for a, b in pieces(lo, hi, most(BLOCK_LEN)):
@@ -399,4 +392,4 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
         for stages, st, row in zip(filters, starts, y):
             row[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
                            + stages._state_out[:tail] @ st[:, n_blocks])
-    return tuple(SignalBuffer(_Owned(y[row]), signal.sample_rate) for row in plan.rows)
+    return tuple(SignalBuffer(_Owned(row), signal.sample_rate) for row in y)

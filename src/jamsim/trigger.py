@@ -68,11 +68,6 @@ class GateLine:
         return SignalBuffer(_Owned(self.levels), self.sample_rate)
 
 
-def full_wave_rectify(signal: SignalBuffer) -> SignalBuffer:
-    """y[i] = |x[i]|."""
-    return SignalBuffer(_Owned(np.abs(signal.samples)), signal.sample_rate)
-
-
 def _trailing_max(env: np.ndarray, spare: np.ndarray, window: int) -> np.ndarray:
     """`envelope` of `env`, formed in `env` and `spare` by turns; returns the one holding it."""
     window = min(window, env.size)  # a longer window reaches back to sample 0 everywhere
@@ -99,12 +94,6 @@ def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
     x = signal.samples
     return SignalBuffer(_Owned(_trailing_max(x.copy(), np.empty_like(x), window)),
                         signal.sample_rate)
-
-
-def comparator(env: SignalBuffer, config: TriggerConfig) -> GateLine:
-    """high_level where the envelope strictly exceeds the threshold, else 0."""
-    levels = np.where(env.samples > config.threshold, config.high_level, 0.0)
-    return GateLine(_Owned(levels), env.sample_rate, config.high_level)
 
 
 def trigger_chain(signal: SignalBuffer, config: TriggerConfig) -> GateLine:

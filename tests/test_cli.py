@@ -232,6 +232,30 @@ class TestResponseCommand:
         nearest = min(rows, key=lambda r: abs(float(r[0]) - 1747.5e6))
         assert float(nearest[1]) > -1.0
 
+    def test_rerun_replaces_its_own_csv(self, tmp_path):
+        out = tmp_path / "resp.csv"
+        assert run_cli(["response", "--filter", "2", "--out", str(out)]) == 0
+        assert run_cli(["response", "--filter", "4", "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh.csv"
+        assert run_cli(["response", "--filter", "4", "--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("content", ["precious\n", "freq_hz,magnitude_db\n", ""])
+    def test_a_foreign_file_is_refused_and_kept(self, tmp_path, capsys, content):
+        out = tmp_path / "notes.csv"
+        out.write_text(content)
+        assert run_cli(["response", "--filter", "2", "--out", str(out)]) == 1
+        assert "refusing to replace it" in capsys.readouterr().err
+        assert out.read_text() == content
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.csv"]
+
+    def test_a_directory_is_refused_and_kept(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "keep.txt").write_text("precious")
+        assert run_cli(["response", "--filter", "2", "--out", str(out)]) == 1
+        assert (out / "keep.txt").read_text() == "precious"
+
 
 class TestHelp:
     def test_help_exits_zero(self):

@@ -182,6 +182,14 @@ class TestInvalidFileValues:
         assert f"line {line}: " in assert_one_line_error(capsys)
         assert not out.exists()
 
+    def test_non_utf8_file_exits_1_with_one_line(self, tmp_path, capsys):
+        scn = tmp_path / "utf16.scn"
+        scn.write_bytes(b"\xff\xfe" + TONE.encode("utf-16-le"))
+        out = tmp_path / "d"
+        assert run_cli(["run", str(scn), "--out", str(out)]) == 1
+        assert "cannot read scenario file" in assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_checks_see_the_whole_file(self):
         # threshold_v = 6 is valid once the later high_v = 10 is read.
         _, config = parse_scenario_file(TONE + "[trigger]\nthreshold_v = 6\nhigh_v = 10\n")

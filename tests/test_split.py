@@ -224,6 +224,28 @@ def test_bank_rows_match_each_filter_alone_at_other_orders(order, fs, n):
         assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
 
 
+# A bank runs every filter through the longest filter's scan steps, zero-padded: a
+# filter past its own last step adds a zero product, which must change no byte.
+ZERO_STEP_N = 2**18 + 2**12 + 7  # 4160 blocks: 13 shifts, past every filter's last step
+ZERO_STEP_INPUTS = {
+    "gaussian": lambda n: np.random.default_rng(n).standard_normal(n),
+    "negative zero": lambda n: np.full(n, -0.0),
+    "negative impulse": lambda n: np.r_[-1.0, np.zeros(n - 1)],
+}
+
+
+@pytest.mark.parametrize("kind", ZERO_STEP_INPUTS)
+@pytest.mark.parametrize("fs,order,n_steps", [(10e9, 6, [9, 10, 10, 10]),
+                                              (100e9, 2, [12, 13, 13, 12])])
+def test_a_zero_scan_step_changes_no_byte(fs, order, n_steps, kind):
+    bank = design_bank(fs, order)
+    assert [len(stages._scan_steps) for stages in bank] == n_steps
+    assert (ZERO_STEP_N // 64 - 1).bit_length() >= max(n_steps)
+    x = jamsim.SignalBuffer(ZERO_STEP_INPUTS[kind](ZERO_STEP_N), fs)
+    for stages, row in zip(bank, jamsim.apply_filters(bank, x)):
+        assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
+
+
 def test_a_filter_designed_at_another_rate_is_rejected():
     bank = design_bank(10e9)[:3] + (jamsim.design_bandpass(jamsim.BAND_FILTER_SPECS[3], 5e9),)
     with pytest.raises(jamsim.InvalidParameter, match="filter designed for 5000000000.0 Hz"):
@@ -266,9 +288,9 @@ def test_a_plan_is_read_only_and_holds_every_filters_steps(order):
               if isinstance(getattr(plan, f.name), np.ndarray)]
     assert len(arrays) == 3
     assert not any(array.flags.writeable for array in arrays)
-    assert [plan.filters[row] for row in plan.rows] == list(pipeline.filters)
-    assert list(plan.n_steps) == sorted(plan.n_steps, reverse=True)
-    for stages, n_steps, steps in zip(plan.filters, plan.n_steps, plan.steps):
+    assert plan.filters == pipeline.filters
+    for stages, steps in zip(plan.filters, plan.steps):
+        n_steps = len(stages._scan_steps)
         assert np.array_equal(steps[:n_steps], stages._scan_steps) and not steps[n_steps:].any()
 
 
@@ -342,7 +364,8 @@ def test_an_error_in_the_helper_scan_half_surfaces_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("order", [2, 6, 24])
 def test_the_toeplitz_transpose_is_contiguous_and_read_only(order):
-    for stages in design_bank(10e9, order):
-        t = stages._toeplitz_t
-        assert t.flags.c_contiguous and not t.flags.writeable
-        assert np.array_equal(t, stages._toeplitz.T)
+    bank = design_bank(10e9, order)
+    t = filterbank._plan_bank(bank).toeplitz_t
+    assert t.flags.c_contiguous and not t.flags.writeable
+    for stages, stacked in zip(bank, t):
+        assert np.array_equal(stacked[0], stages._toeplitz.T)

@@ -9,12 +9,11 @@ from jamsim.errors import InvalidParameter
 from jamsim.filterbank import BAND_FILTER_SPECS, apply_filter, design_bandpass
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 from jamsim.trigger import (
+    DEFAULT_THRESHOLD,
     GateLine,
     TriggerConfig,
-    comparator,
     default_envelope_window,
     envelope,
-    full_wave_rectify,
     trigger_chain,
 )
 
@@ -24,37 +23,47 @@ finite_buffers = hnp.arrays(np.float64, st.integers(1, 256),
                             elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
 
 
+def rectify_compare(signal, threshold=DEFAULT_THRESHOLD):
+    """The rectifier and comparator alone: `trigger_chain` with a one-sample envelope."""
+    return trigger_chain(signal, TriggerConfig(threshold, envelope_window=1)).levels
+
+
 class TestRectifier:
     def test_small_example(self):
-        out = full_wave_rectify(SignalBuffer([-1.0, 2.0, -3.0], FS))
-        assert np.array_equal(out.samples, [1.0, 2.0, 3.0])
+        # Both half-waves fire: the gate is the comparator of [1, 2, 3].
+        gate = rectify_compare(SignalBuffer([-1.0, 2.0, -3.0], FS), threshold=1.5)
+        assert np.array_equal(gate, [0.0, 5.0, 5.0])
 
     def test_silence_stays_silent(self):
-        out = full_wave_rectify(SignalBuffer(np.zeros(64), FS))
-        assert np.all(out.samples == 0.0)
+        gate = rectify_compare(SignalBuffer(np.zeros(64), FS))
+        assert np.all(gate == 0.0)
 
     def test_sine_statistics(self):
-        # 5 whole periods, 1000 samples each: min 0, max 2, mean 4/pi.
+        # 5 whole periods, 1000 samples each: min 0, max 2, mean 4/pi.  The gate shows the
+        # rectified samples through thresholds: the mean is the integral of the fraction above t.
         buf = multi_tone([ToneSpec(1e6, 2.0)], 1e9, 5000)
-        out = full_wave_rectify(buf)
-        assert out.samples.min() == pytest.approx(0.0, abs=1e-9)
-        assert out.samples.max() == pytest.approx(2.0, abs=1e-9)
-        assert float(np.mean(out.samples)) == pytest.approx(2.0 * 2.0 / np.pi, rel=1e-3)
+        assert not rectify_compare(buf, threshold=1e-9).all()
+        assert rectify_compare(buf, threshold=2.0 - 1e-9).any()
+        assert not rectify_compare(buf, threshold=2.0 + 1e-9).any()
+        dt = 2.0 / 400
+        mean = sum(float(np.mean(rectify_compare(buf, threshold=(k + 0.5) * dt) > 0.0)) * dt
+                   for k in range(400))
+        assert mean == pytest.approx(2.0 * 2.0 / np.pi, rel=1e-3)
 
     @settings(max_examples=100)
     @given(finite_buffers)
     def test_idempotent_and_nonnegative(self, xs):
-        once = full_wave_rectify(SignalBuffer(xs, FS))
-        twice = full_wave_rectify(once)
-        assert np.array_equal(once.samples, twice.samples)
-        assert np.all(once.samples >= 0.0)
+        once = rectify_compare(SignalBuffer(xs, FS))
+        twice = rectify_compare(SignalBuffer(np.abs(xs), FS))
+        assert np.array_equal(once, twice)
+        assert np.array_equal(once, rectify_compare(SignalBuffer(-xs, FS)))
 
     @settings(max_examples=100)
     @given(finite_buffers, st.floats(-1e3, 1e3, allow_nan=False))
     def test_scale_covariance_exact(self, xs, c):
-        scaled = full_wave_rectify(SignalBuffer(c * xs, FS))
-        reference = abs(c) * full_wave_rectify(SignalBuffer(xs, FS)).samples
-        assert np.array_equal(scaled.samples, reference)
+        scaled = rectify_compare(SignalBuffer(c * xs, FS))
+        reference = rectify_compare(SignalBuffer(abs(c) * xs, FS))
+        assert np.array_equal(scaled, reference)
 
 
 class TestEnvelope:
@@ -75,8 +84,8 @@ class TestEnvelope:
         # 2 V tone starting on its crest: every trailing-max sample
         # over at least one period stays within 0.1% of the peak.
         buf = multi_tone([ToneSpec(1e6, 2.0, phase=np.pi / 2.0)], 1e9, 5000)
-        env = envelope(full_wave_rectify(buf), 1000)
-        assert np.all(env.samples >= 2.0 * (1.0 - 1e-3))
+        gate = trigger_chain(buf, TriggerConfig(2.0 * (1.0 - 1e-3), envelope_window=1000))
+        assert np.all(gate.levels == 5.0)
 
     def test_increasing_input_is_unchanged(self):
         xs = np.cumsum(np.abs(np.random.default_rng(1).normal(size=100)))
@@ -135,21 +144,18 @@ class TestComparator:
     @pytest.mark.parametrize("level,expected", [(1.2, 5.0), (0.5, 0.0), (1.0, 0.0)])
     def test_threshold_is_strict(self, level, expected):
         env = SignalBuffer(np.full(100, level), FS)
-        gate = comparator(env, TriggerConfig())
-        assert np.all(gate.levels == expected)
+        assert np.all(rectify_compare(env) == expected)
 
     def test_levels_are_exactly_binary(self):
         env = SignalBuffer(np.linspace(0.0, 3.0, 301), FS)
-        gate = comparator(env, TriggerConfig())
-        assert set(np.unique(gate.levels)) <= {0.0, 5.0}
+        assert set(np.unique(rectify_compare(env))) <= {0.0, 5.0}
 
     @settings(max_examples=100)
     @given(hnp.arrays(np.float64, 64, elements=st.floats(0.0, 3.0, allow_nan=False)),
            hnp.arrays(np.float64, 64, elements=st.floats(0.0, 3.0, allow_nan=False)))
     def test_monotone_in_the_envelope(self, base, bump):
-        cfg = TriggerConfig()
-        low = comparator(SignalBuffer(base, FS), cfg).levels
-        high = comparator(SignalBuffer(base + bump, FS), cfg).levels
+        low = rectify_compare(SignalBuffer(base, FS))
+        high = rectify_compare(SignalBuffer(base + bump, FS))
         assert np.all(high >= low)
 
 
