@@ -22,12 +22,15 @@ block k alone leaves in the state; a doubling scan (Blelloch 1990,
 solves it in log2(blocks) matrix products.  `FilterStages` builds these
 matrices once, at design time.  `apply_filters` runs a bank of one order in
 three passes, one stacked product per piece and scan step for the whole bank,
-each small enough for its calling thread alone; long buffers split the end
-states and outputs by block, and the scans by filter, over two threads.  The
-passes run from a read-only plan of the bank: its filters in the order given,
-their matrices stacked and their scan steps zero-padded to the longest filter's.
-A `Pipeline` plans its filters once; `apply_filters` plans on each call, for the
-same bytes.
+each small enough for its calling thread alone and cut on one grid fixed from
+block 0: the buffer is zero-padded to whole groups of `BLOCK_LEN` blocks.  Long
+buffers split the end states and outputs on grid lines, and the scans by filter,
+over two threads, so on any BLAS kernel a split run makes the calls, and gives
+the bytes, of a run on one thread (a fixed reduction order, as in Demmel &
+Nguyen 2015, "Parallel reproducible summation").  The passes run from a
+read-only plan of the bank: its filters in the order given, their matrices
+stacked and their scan steps zero-padded to the longest filter's.  A `Pipeline`
+plans its filters once; `apply_filters` plans on each call.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, JamSimError
-from .signal_core import SignalBuffer, _in_halves, _Owned, check_sample_rate
+from .signal_core import SignalBuffer, _in_halves, _Owned, check_integer, check_sample_rate
 
 DEFAULT_FILTER_ORDER = 6
 #: Samples per block of the blocked run (a power of two).
@@ -47,6 +50,8 @@ BLOCK_LEN = 64
 #: GEMM_MULTITHREAD_THRESHOLD (4 by default) on the calling thread; a larger
 #: product wakes its worker threads, which then spin on the CPUs the halves need.
 _PRODUCT_MULADDS = 65536 * 4
+#: Samples per group of the product grid: `BLOCK_LEN` blocks, one Toeplitz product.
+_GROUP_LEN = BLOCK_LEN * BLOCK_LEN
 
 
 @dataclass(frozen=True)
@@ -209,10 +214,12 @@ def _section_responses(sos: np.ndarray, z) -> np.ndarray:
     return (b0 + b1 * z + b2 * z * z) / (1.0 + a1 * z + a2 * z * z)
 
 
-def check_filter_order(order: int) -> None:
-    """InvalidParameter unless `order` is an even integer >= 2."""
+def check_filter_order(order: int) -> int:
+    """`order` as an int; InvalidParameter unless it is an even integer >= 2."""
+    order = check_integer(order, "filter_order")
     if order < 2 or order % 2 != 0:
         raise InvalidParameter(f"filter order must be even and >= 2, got {order!r}", "filter_order")
+    return order
 
 
 # At extreme sample rates the design overflows or loses all precision;
@@ -226,7 +233,7 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     filter is three sections from a 3rd-order prototype), so it must
     be even.
     """
-    check_filter_order(order)
+    order = check_filter_order(order)
     check_sample_rate(sample_rate)
     f_low = spec.band_low * 1e6
     f_high = spec.band_high * 1e6
@@ -330,66 +337,57 @@ def _plan_bank(bank) -> _BankPlan:
 
 
 def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
-    """`apply_filters` of the planned bank: three passes, split in halves from 2**17 samples up."""
-    x, filters, (n_bank, n_states) = signal.samples, plan.filters, plan.state_in.shape[:2]
-    for stages in filters:
+    """`apply_filters` of a planned bank: three passes, halved on grid lines from 2**17 samples."""
+    x, n, (n_bank, n_states) = signal.samples, signal.samples.size, plan.state_in.shape[:2]
+    for stages in plan.filters:
         if signal.sample_rate != stages.sample_rate:
             raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
                                    f"{stages.sample_rate} Hz")
-    n_blocks, tail = divmod(x.size, BLOCK_LEN)
-    n_shifts = min(max(n_blocks - 1, 0).bit_length(), plan.steps.shape[1])
-    shifts = [1 << i for i in range(n_shifts)]  # 1, 2, 4, ... < n_blocks
-    blocks = x[:x.size - tail].reshape(n_blocks, BLOCK_LEN)
+    # Zero-padded to whole groups: zeros after the end change no earlier output of a causal filter.
+    n_blocks = -(-n // _GROUP_LEN) * BLOCK_LEN
+    if n_blocks * BLOCK_LEN > n:
+        x = np.concatenate([x, np.zeros(n_blocks * BLOCK_LEN - n)])
+    blocks = x.reshape(n_blocks, BLOCK_LEN)
+    span = max(1, _PRODUCT_MULADDS // (_GROUP_LEN * n_states)) * BLOCK_LEN  # blocks per piece
+    cols = max(1, min(_PRODUCT_MULADDS // n_states**2, n_blocks))  # columns per scan product
+    shifts = [1 << i for i in range(min((n_blocks - 1).bit_length(), plan.steps.shape[1]))]
     # starts[f, :, k] is the state filter f's block k starts in; block 0 starts at zero.
     starts = np.zeros((n_bank, n_states, n_blocks + 1))
-    y = np.empty((n_bank, x.size))
-    out = y[:, :x.size - tail].reshape(n_bank, n_blocks, BLOCK_LEN)
+    out = np.empty((n_bank, n_blocks, BLOCK_LEN))
+    scratch = np.empty((2, max(min(span, n_blocks) * BLOCK_LEN, cols * n_states)))  # per half
 
-    def most(width):  # blocks per product of `width` columns per block
-        return max(1, min(_PRODUCT_MULADDS // (width * n_states), n_blocks))
-    per, room = most(n_states), max(most(BLOCK_LEN) * BLOCK_LEN, most(n_states) * n_states)
-    scratch = np.empty((2, room))  # per half, the largest state product or scan stack piece
-
-    def pieces(lo, hi, most):  # equal spans of at most `most` blocks
-        if hi - lo <= most:
-            return [(lo, hi)]
-        k = -(-(hi - lo) // most)
-        return [(lo + (hi - lo) * i // k, lo + (hi - lo) * (i + 1) // k) for i in range(k)]
-
-    def end_states(half, lo, hi):  # the state each block alone leaves
-        for a, b in pieces(lo, hi, most(BLOCK_LEN)):
+    def end_states(half, lo, hi):  # the state each block alone leaves, pieces lo .. hi-1
+        for a in range(lo * span, min(hi * span, n_blocks), span):
+            b = min(a + span, n_blocks)
             np.matmul(plan.state_in, blocks[a:b].T, out=starts[:, :, a + 1:b + 1])
 
     def scans(half, lo, hi):
         # Hillis-Steele scan: after the step with shift, ends[f, :, k] is the state blocks
         # k-2*shift+1 .. k leave at block k's end; right to left, pieces read unchanged states.
-        size = room // (n_states * per)  # filters whose pieces fit the scratch together
+        size = scratch.shape[1] // (n_states * cols)  # filters whose pieces fit together
         for first in range(lo, hi, size):
             k = min(size, hi - first)
             ends, steps = starts[first:first + k, :, 1:], plan.steps[first:first + k]
             for i, shift in enumerate(shifts):
-                for a, b in pieces(shift, n_blocks, per)[::-1]:
+                for a in range(shift, n_blocks, cols)[::-1]:
+                    b = min(a + cols, n_blocks)
                     term = scratch[half, :k * n_states * (b - a)].reshape(k, n_states, b - a)
                     ends[:, :, a:b] += np.matmul(steps[:, i], ends[:, :, a - shift:b - shift],
                                                  out=term)
 
-    def outputs(half, lo, hi):  # Toeplitz products of BLOCK_LEN blocks, then the start states
-        whole, shape = lo + (hi - lo) // BLOCK_LEN * BLOCK_LEN, (-1, BLOCK_LEN, BLOCK_LEN)
-        np.matmul(blocks[lo:whole].reshape(shape), plan.toeplitz_t,
-                  out=out[:, lo:whole].reshape((n_bank,) + shape))
-        for stages, st, o in zip(filters, starts, out):
-            if whole < hi:  # the last BLOCK_LEN blocks once more; toeplitz_t rounds them otherwise
-                rest = max(lo, hi - BLOCK_LEN)
-                np.matmul(blocks[rest:hi], stages._toeplitz.T, out=o[rest:hi])
-            for a, b in pieces(lo, hi, most(BLOCK_LEN)):
+    def outputs(half, lo, hi):  # per piece, a Toeplitz product per group, then the start states
+        for a in range(lo * span, min(hi * span, n_blocks), span):
+            b = min(a + span, n_blocks)
+            groups = ((b - a) // BLOCK_LEN, BLOCK_LEN, BLOCK_LEN)
+            np.matmul(blocks[a:b].reshape(groups), plan.toeplitz_t,
+                      out=out[:, a:b].reshape((n_bank,) + groups))
+            for stages, st, o in zip(plan.filters, starts, out):
                 term = scratch[half, :(b - a) * BLOCK_LEN].reshape(b - a, BLOCK_LEN)
                 o[a:b] += np.matmul(st[:, a:b].T, stages._state_out.T, out=term)
 
-    _in_halves(end_states, 0, n_blocks, x.size)
-    _in_halves(scans, 0, n_bank, x.size if n_bank > 1 else 0)
-    _in_halves(outputs, 0, n_blocks, x.size)
-    if tail:
-        for stages, st, row in zip(filters, starts, y):
-            row[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
-                           + stages._state_out[:tail] @ st[:, n_blocks])
-    return tuple(SignalBuffer(_Owned(row), signal.sample_rate) for row in y)
+    n_pieces = -(-n_blocks // span)
+    _in_halves(end_states, 0, n_pieces, n)  # the thread threshold reads the unpadded length
+    _in_halves(scans, 0, n_bank, n if n_bank > 1 else 0)
+    _in_halves(outputs, 0, n_pieces, n)
+    rows = out.reshape(n_bank, -1)[:, :n]
+    return tuple(SignalBuffer(_Owned(row), signal.sample_rate) for row in rows)

@@ -45,6 +45,7 @@ from .signal_core import (
     NoiseSpec,
     SignalBuffer,
     ToneSpec,
+    check_integer,
     check_sample_rate,
     multi_tone,
 )
@@ -77,11 +78,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_sample_rate(self.sample_rate)
+        for name in ("n_samples", "filter_order", "seed"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         check_filter_order(self.filter_order)
         if not 2 <= self.n_samples <= MAX_N_SAMPLES:
             raise InvalidParameter(f"n_samples must lie in 2..{MAX_N_SAMPLES}, "
                                    f"got {self.n_samples!r}", "n_samples")
-        self.jammer3  # checks gain, both sigmas and seed
+        self.jammer3, self.jammer40  # check gain, both sigmas and both seeds, seed+1 too
 
     @property
     def measure_skip_fraction(self) -> float:

@@ -11,6 +11,7 @@ The noise streams themselves come from `jamsim.rng`.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -27,6 +28,8 @@ DEFAULT_N_SAMPLES = 4096
 DEFAULT_TONE_AMPLITUDE = 2.0
 #: Noise seed of a run that names none (the Band 3 jammer's stream).
 DEFAULT_SEED = 42
+#: Largest noise seed: the streams read a seed as 64 bits, so a larger one would alias.
+MAX_SEED = 2**64 - 1
 #: Largest summed tone amplitude and largest noise sigma, in volts, and
 #: largest jammer gain.  It is far above any real voltage or gain, and low
 #: enough that no stage's samples overflow: a jammer's gain * signal + noise
@@ -46,6 +49,14 @@ def check_sample_rate(sample_rate: float) -> float:
         raise InvalidParameter(f"sample_rate must be finite and > 0, got {sample_rate!r}",
                                "sample_rate")
     return rate
+
+
+def check_integer(value, name: str) -> int:
+    """`value` as an int; InvalidParameter naming `name` unless it is an integer type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}", name) from None
 
 
 @dataclass(frozen=True)
@@ -141,8 +152,10 @@ class NoiseSpec:
             if not 0.0 <= getattr(self, name) <= MAX_TOTAL_AMPLITUDE:
                 raise InvalidParameter(f"{name} must lie in [0, {MAX_TOTAL_AMPLITUDE:g}] V, "
                                        f"got {getattr(self, name)!r}", name)
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed!r}", "seed")
+        seed = check_integer(self.seed, "seed")
+        if not 0 <= seed <= MAX_SEED:
+            raise InvalidParameter(f"seed must lie in 0..{MAX_SEED}, got {seed!r}", "seed")
+        object.__setattr__(self, "seed", seed)
 
 
 def check_below_nyquist(tones, sample_rate: float) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .filterbank import LOWEST_PASSBAND_HZ
-from .signal_core import SignalBuffer, _as_readonly_f64, _in_halves, _Owned
+from .signal_core import SignalBuffer, _as_readonly_f64, _in_halves, _Owned, check_integer
 
 DEFAULT_THRESHOLD = 1.0
 DEFAULT_HIGH_LEVEL = 5.0
@@ -43,8 +43,11 @@ class TriggerConfig:
             raise InvalidParameter("threshold must be > 0", "threshold")
         if not self.high_level > self.threshold:
             raise InvalidParameter("high_level must exceed threshold", "threshold", "high_level")
-        if self.envelope_window is not None and self.envelope_window < 1:
-            raise InvalidParameter("envelope_window must be >= 1 sample", "envelope_window")
+        if self.envelope_window is not None:
+            window = check_integer(self.envelope_window, "envelope_window")
+            if window < 1:
+                raise InvalidParameter("envelope_window must be >= 1 sample", "envelope_window")
+            object.__setattr__(self, "envelope_window", window)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,8 @@ from jamsim.errors import InvalidParameter, ParseError
 from jamsim.pipeline import MAX_TOTAL_AMPLITUDE, PipelineConfig, Scenario
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.scenario_io import parse_scenario_file
-from jamsim.signal_core import ToneSpec, multi_tone
+from jamsim.signal_core import MAX_SEED, NoiseSpec, ToneSpec, multi_tone
+from jamsim.trigger import TriggerConfig
 
 TONE = "[tones]\nfreq_mhz = 1747.5\n"
 
@@ -60,6 +61,19 @@ class TestInvalidFlags:
         assert "simulation error" in assert_one_line_error(capsys)
         assert not out.exists()
 
+    def test_a_seed_whose_band40_seed_passes_2_64_exits_1_naming_seed(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli(["run", "--builtin", "1", "--out", str(out), "--seed", str(MAX_SEED)]) == 1
+        assert "seed" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_the_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "d"
+        assert run_cli(["run", "--builtin", "1", "--out", str(out), "--seed", str(MAX_SEED - 1),
+                        "--reproducible"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["seed"], manifest["config"]["jammer40"]["seed"]) == (MAX_SEED - 1, MAX_SEED)
+
     def test_negative_seed_from_the_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("JAMSIM_SEED", "-5")
         assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "d")]) == 1
@@ -77,6 +91,7 @@ BAD_FILES = [
     (TONE + "[sim]\nn_samples = 0\n", 4),
     (TONE + "[sim]\nseed = 3\nn_samples = 1\n", 5),
     (TONE + "[sim]\nseed = -3\n", 4),
+    (TONE + "[sim]\nseed = 18446744073709551615\n", 4),
     (TONE + "[sim]\nseed = 1\nfilter_order = 3\n", 5),
     (TONE + "[sim]\nsample_rate_hz = 0\n", 4),
     (TONE + "[trigger]\nenvelope_window = 0\n", 4),
@@ -213,6 +228,31 @@ class TestTypedConfigErrors:
     def test_pipeline_config_raises_invalid_parameter(self, kwargs):
         with pytest.raises(InvalidParameter):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: PipelineConfig(n_samples=4096.5), "n_samples"),
+        (lambda: PipelineConfig(filter_order=6.0), "filter_order"),
+        (lambda: PipelineConfig(seed=2.5), "seed"),
+        (lambda: PipelineConfig(seed="3"), "seed"),
+        (lambda: TriggerConfig(envelope_window=2.5), "envelope_window"),
+    ], ids=["n_samples", "filter_order", "seed-float", "seed-str", "envelope_window"])
+    def test_a_non_integer_setting_raises_invalid_parameter_naming_it(self, make, field):
+        with pytest.raises(InvalidParameter, match=f"{field} must be an integer") as err:
+            make()
+        assert err.value.fields == (field,)
+
+    @pytest.mark.parametrize("seed", [MAX_SEED, MAX_SEED + 1, 2**70])
+    def test_a_seed_that_would_alias_a_smaller_one_is_rejected(self, seed):
+        # The Band 40 jammer takes seed+1, so MAX_SEED itself is past the end.
+        with pytest.raises(InvalidParameter) as err:
+            PipelineConfig(seed=seed)
+        assert err.value.fields == ("seed",)
+
+    def test_noise_seeds_span_64_bits(self):
+        assert NoiseSpec(seed=MAX_SEED).seed == MAX_SEED
+        assert PipelineConfig(seed=MAX_SEED - 1).jammer40.noise.seed == MAX_SEED
+        with pytest.raises(InvalidParameter):
+            NoiseSpec(seed=MAX_SEED + 1)
 
 
 @pytest.mark.parametrize("count", [-1, -3])

@@ -1,8 +1,11 @@
-"""Long buffers: the stages split in halves give the bytes of a whole-buffer run.
+"""Long buffers: the stages split in halves give the bytes of a run on one thread.
 
 From 2**17 samples up, each per-sample stage runs the second half of its
-samples on one helper thread.  The references here are whole-buffer,
-single-pass versions of each stage, as they stood before the split.
+samples on one helper thread.  The references here are single-threaded
+versions of each stage: whole-buffer, single-pass ones for the per-sample
+stages, and for the filters a serial run cut on the bank's fixed product
+grid.  The grid does not depend on the split, so these tests hold on any
+BLAS kernel; the one-product filter reference is checked within a tolerance.
 """
 
 import sys
@@ -16,7 +19,7 @@ from scipy.ndimage import maximum_filter1d
 import jamsim
 from jamsim import filterbank, rng
 from jamsim.analysis import rms
-from jamsim.filterbank import _run_bank
+from jamsim.filterbank import _GROUP_LEN, _PRODUCT_MULADDS, _run_bank
 from jamsim.pipeline import MEASURE_SKIP_FRACTION
 from jamsim.trigger import TriggerConfig, default_envelope_window
 
@@ -37,7 +40,42 @@ def reference_tones(tones, fs, n):
 
 
 def reference_filter(stages, x):
-    """apply_filter with one product per step over every block at once."""
+    """apply_filter, serially, with one product per piece of the run's fixed grid.
+
+    The buffer is zero-padded to whole groups of 64 blocks.  End-state and state-out
+    products cover `span` blocks from block 0, each scan step's products `cols`
+    columns from its shift, right to left, and each Toeplitz product one group.
+    """
+    n_states = len(stages._state_in)
+    n_blocks = -(-x.size // _GROUP_LEN) * 64
+    blocks = np.zeros((n_blocks, 64))
+    blocks.reshape(-1)[:x.size] = x
+    span = max(1, _PRODUCT_MULADDS // (_GROUP_LEN * n_states)) * 64
+    cols = max(1, _PRODUCT_MULADDS // n_states**2)
+    starts = np.zeros((n_states, n_blocks + 1))
+    ends = starts[:, 1:]
+    pieces = [(a, min(a + span, n_blocks)) for a in range(0, n_blocks, span)]
+    for a, b in pieces:
+        ends[:, a:b] = stages._state_in @ blocks[a:b].T
+    shift = 1
+    for step in stages._scan_steps:
+        if shift >= n_blocks:
+            break
+        for a in reversed(range(shift, n_blocks, cols)):
+            b = min(a + cols, n_blocks)
+            ends[:, a:b] += step @ ends[:, a - shift:b - shift]
+        shift *= 2
+    y = np.empty((n_blocks, 64))
+    toeplitz_t = np.ascontiguousarray(stages._toeplitz.T)
+    for a in range(0, n_blocks, 64):
+        y[a:a + 64] = blocks[a:a + 64] @ toeplitz_t
+    for a, b in pieces:
+        y[a:b] += starts[:, a:b].T @ stages._state_out.T
+    return y.reshape(-1)[:x.size]
+
+
+def uncut_reference(stages, x):
+    """apply_filter with one product per step over every block at once, and a tail product."""
     n_blocks, tail = divmod(x.size, 64)
     blocks = x[:x.size - tail].reshape(n_blocks, 64)
     starts = np.zeros((len(stages._state_in), n_blocks + 1))
@@ -190,8 +228,8 @@ def test_concurrent_runs_give_the_serial_bytes():
 
 
 # The four band filters run as one bank: each row must give the bytes of the
-# filter run alone and of the single-product reference.  Lengths straddle one
-# block (64), 18 and 19 blocks (1152, 1216), a 64-block slice and the split.
+# filter run alone and of the grid reference.  Lengths straddle one block (64),
+# 18 and 19 blocks (1152, 1216), one group of 64 blocks and the split.
 BANK_LENGTHS = [2, 63, 64, 65, 127, 128, 1151, 1152, 1215, 1216, 2048, 4095, 4096, 4097,
                 SPLIT - 1, SPLIT + 1, 2**20 + 3]
 
@@ -213,6 +251,17 @@ def test_bank_rows_match_each_filter_alone_and_the_reference(n):
         assert row.sample_rate == x.sample_rate
         assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
         assert row.samples.tobytes() == reference_filter(stages, x.samples).tobytes()
+        assert_near_uncut(stages, x, row)
+
+
+# The grid rounds otherwise than one product per step over the whole buffer: within
+# this share of each row's largest value (at most 1.6e-15 on the cases here).
+UNCUT_TOLERANCE = 4e-15
+
+
+def assert_near_uncut(stages, x, row):
+    gap = np.abs(row.samples - uncut_reference(stages, x.samples)).max(initial=0.0)
+    assert gap <= UNCUT_TOLERANCE * np.abs(row.samples).max(initial=0.0)
 
 
 @pytest.mark.parametrize("n", [1151, SPLIT + 7])
@@ -246,6 +295,19 @@ def test_a_zero_scan_step_changes_no_byte(fs, order, n_steps, kind):
         assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
 
 
+# Every product is cut on one grid fixed from block 0, and the halves meet on its lines:
+# a run on one thread makes the BLAS calls of the split run, so it gives its bytes.
+@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT + 1, ZERO_STEP_N, 2**20 + 3])
+@pytest.mark.parametrize("fs", [5e9, 10e9])
+@pytest.mark.parametrize("order", [2, 6, 12, 24])
+def test_a_serial_run_gives_the_bytes_of_the_split_run(monkeypatch, order, fs, n):
+    bank, x = design_bank(fs, order), noise_buffer(n, fs)
+    split = jamsim.apply_filters(bank, x)
+    monkeypatch.setattr(filterbank, "_in_halves", lambda work, lo, hi, samples: work(0, lo, hi))
+    for row, serial in zip(split, jamsim.apply_filters(bank, x)):
+        assert row.samples.tobytes() == serial.samples.tobytes()
+
+
 def test_a_filter_designed_at_another_rate_is_rejected():
     bank = design_bank(10e9)[:3] + (jamsim.design_bandpass(jamsim.BAND_FILTER_SPECS[3], 5e9),)
     with pytest.raises(jamsim.InvalidParameter, match="filter designed for 5000000000.0 Hz"):
@@ -276,8 +338,8 @@ def test_a_pipelines_plan_gives_the_bytes_of_a_public_call(order, n):
     assert len(rows) == 4
     for stages, row, want in zip(pipeline.filters, rows, public):
         assert row.samples.tobytes() == want.samples.tobytes()
-        if (order, n) != (24, SPLIT + 7):  # there the one-product reference rounds otherwise
-            assert row.samples.tobytes() == reference_filter(stages, x.samples).tobytes()
+        assert row.samples.tobytes() == reference_filter(stages, x.samples).tobytes()
+        assert_near_uncut(stages, x, row)
 
 
 @pytest.mark.parametrize("order", [2, 6, 24])
