@@ -1,14 +1,14 @@
-"""End-to-end wiring: input -> four band filters -> triggers -> gated jammers.
+"""End-to-end wiring: input -> band filters 2-4 -> triggers -> gated jammers.
 
 A `Pipeline` is its `PipelineConfig` plus the four filters designed from
-it in `BAND_FILTER_SPECS` order (``filters[k - 1]`` is filter k), planned
-once as one read-only bank; `run_scenario` runs the bank from that plan and
-reads the trigger and jammer settings from the config.
+it in `BAND_FILTER_SPECS` order (``filters[k - 1]`` is filter k), with filters
+2-4 planned once as one read-only bank; `run_scenario` runs the bank from that
+plan and reads the trigger and jammer settings from the config.
 Band 3 is FDD, so detection and jamming use different filters: the
 uplink filter (2) feeds trigger 1 and the downlink filter (3) feeds
 jammer 1.  Band 40 is TDD and shares one allocation, so filter 4 feeds
-both trigger 2 and jammer 2.  Filter 1 (the full Band 3 span) is
-designed and its output exported for inspection, but drives no branch.
+both trigger 2 and jammer 2.  Filter 1 (the full Band 3 span) drives no branch, so
+it is designed but not run: ``apply_filter(pipeline.filters[0], input)`` gives it.
 Stages run whole-buffer, one at a time; every stage is causal and
 feed-forward, so this matches sample-interleaved execution exactly.  A
 jammer whose settled gate is never high emits exact zeros there, so its RMS
@@ -129,7 +129,7 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    """Measured per-branch outcome of one scenario run."""
+    """Measured per-branch outcome of one scenario run; filters 2-4 are its only filter buffers."""
 
     trigger1_level: float
     trigger2_level: float
@@ -148,14 +148,14 @@ class Pipeline:
 
     config: PipelineConfig
     filters: tuple[FilterStages, ...] = field(init=False)
-    #: The filters planned once as one bank; `run_scenario` runs them from it.
+    #: Filters 2-4, the wired ones, planned once as one bank; `run_scenario` runs them from it.
     _bank: _BankPlan = field(init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.config
         object.__setattr__(self, "filters", tuple(
             design_bandpass(spec, cfg.sample_rate, cfg.filter_order) for spec in BAND_FILTER_SPECS))
-        object.__setattr__(self, "_bank", _plan_bank(self.filters))
+        object.__setattr__(self, "_bank", _plan_bank(self.filters[1:]))
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
@@ -178,7 +178,7 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     cfg = pipeline.config
 
     source = multi_tone(scenario.tones, cfg.sample_rate, cfg.n_samples)
-    band3_full, band3_uplink, band3_downlink, band40 = _run_bank(pipeline._bank, source)
+    band3_uplink, band3_downlink, band40 = _run_bank(pipeline._bank, source)
 
     gate1 = trigger_chain(band3_uplink, cfg.trigger)
     gate2 = trigger_chain(band40, cfg.trigger)
@@ -197,7 +197,6 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
         jammer2_rms=rms2,
         branch_buffers={
             "input": source,
-            "filter1": band3_full,
             "filter2": band3_uplink,
             "filter3": band3_downlink,
             "filter4": band40,

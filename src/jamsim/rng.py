@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
+from .signal_core import check_integer, check_seed
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -42,18 +43,21 @@ def mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _check_span(count: int, start: int) -> None:
+def _check_draw(seed: int, count: int, start: int) -> tuple[int, int, int]:
+    """The arguments as ints; InvalidParameter naming the first outside its range."""
+    count, start = check_integer(count, "count"), check_integer(start, "start")
     if count < 0:
         raise InvalidParameter(f"count must be >= 0, got {count!r}", "count")
     if start < 0:
         raise InvalidParameter(f"start must be >= 0, got {start!r}", "start")
+    return check_seed(seed), count, start
 
 
 def raw_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Raw 64-bit splitmix64 outputs `start .. start+count-1` for `seed`."""
-    _check_span(count, start)
+    seed, count, start = _check_draw(seed, count, start)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK64)  # wraps mod 2**64
+    z += np.uint64(seed)  # wraps mod 2**64
     shifted = np.empty_like(z)
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= np.right_shift(z, np.uint64(shift), out=shifted)
@@ -76,7 +80,7 @@ def _radius(u: np.ndarray) -> np.ndarray:
 
 def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. Normal(0, sigma^2) draws via Box-Muller, samples `start` onward."""
-    _check_span(count, start)  # before rounding out to whole pairs hides a -1
+    seed, count, start = _check_draw(seed, count, start)  # before rounding out hides a -1
     skip = start % 2  # an odd start begins on the sin half of a pair
     pairs = (skip + count + 1) // 2
     u = uniform_stream(mix64(seed ^ _GAUSSIAN_TAG), 2 * pairs, start - skip)
@@ -89,5 +93,6 @@ def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.n
 
 def rayleigh_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. Rayleigh(scale=sigma) draws, all >= 0, samples `start` onward."""
+    seed, count, start = _check_draw(seed, count, start)  # before mix64 masks the seed
     u = _radius(uniform_stream(mix64(seed ^ _RAYLEIGH_TAG), count, start))
     return np.multiply(sigma, u, out=u)

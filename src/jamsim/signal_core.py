@@ -59,6 +59,14 @@ def check_integer(value, name: str) -> int:
         raise InvalidParameter(f"{name} must be an integer, got {value!r}", name) from None
 
 
+def check_seed(seed) -> int:
+    """`seed` as an int; InvalidParameter naming seed unless an integer in 0..MAX_SEED."""
+    seed = check_integer(seed, "seed")
+    if not 0 <= seed <= MAX_SEED:
+        raise InvalidParameter(f"seed must lie in 0..{MAX_SEED}, got {seed!r}", "seed")
+    return seed
+
+
 @dataclass(frozen=True)
 class _Owned:
     """A float64 array a stage filled and gives up: buffers check it but do not copy it."""
@@ -152,10 +160,7 @@ class NoiseSpec:
             if not 0.0 <= getattr(self, name) <= MAX_TOTAL_AMPLITUDE:
                 raise InvalidParameter(f"{name} must lie in [0, {MAX_TOTAL_AMPLITUDE:g}] V, "
                                        f"got {getattr(self, name)!r}", name)
-        seed = check_integer(self.seed, "seed")
-        if not 0 <= seed <= MAX_SEED:
-            raise InvalidParameter(f"seed must lie in 0..{MAX_SEED}, got {seed!r}", "seed")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def check_below_nyquist(tones, sample_rate: float) -> None:
@@ -175,6 +180,7 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     (below about 2.2e-308 in size) may round one step (5e-324) off.
     """
     check_sample_rate(sample_rate)
+    n_samples = check_integer(n_samples, "n_samples")
     if n_samples < 0:
         raise InvalidParameter(f"n_samples must be >= 0, got {n_samples!r}", "n_samples")
     check_below_nyquist(tones, sample_rate)

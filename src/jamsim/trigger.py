@@ -39,6 +39,9 @@ class TriggerConfig:
     envelope_window: int | None = None
 
     def __post_init__(self):
+        for name in ("threshold", "high_level"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be finite, got {getattr(self, name)!r}", name)
         if not self.threshold > 0.0:
             raise InvalidParameter("threshold must be > 0", "threshold")
         if not self.high_level > self.threshold:
@@ -92,8 +95,9 @@ def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
     window - s samples.  O(n log window) and exact, since max does not
     round.  Two buffers take turns, so no step reads what it writes.
     """
+    window = check_integer(window, "window")
     if window < 1:
-        raise InvalidParameter(f"envelope window must be >= 1, got {window}")
+        raise InvalidParameter(f"envelope window must be >= 1, got {window}", "window")
     x = signal.samples
     return SignalBuffer(_Owned(_trailing_max(x.copy(), np.empty_like(x), window)),
                         signal.sample_rate)

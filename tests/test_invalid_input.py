@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from jamsim.cli import run_cli
 from jamsim.errors import InvalidParameter, ParseError
 from jamsim.pipeline import MAX_TOTAL_AMPLITUDE, PipelineConfig, Scenario
-from jamsim.rng import gaussian_stream, rayleigh_stream
+from jamsim.rng import gaussian_stream, raw_stream, rayleigh_stream, uniform_stream
 from jamsim.scenario_io import parse_scenario_file
-from jamsim.signal_core import MAX_SEED, NoiseSpec, ToneSpec, multi_tone
-from jamsim.trigger import TriggerConfig
+from jamsim.signal_core import MAX_SEED, NoiseSpec, SignalBuffer, ToneSpec, multi_tone
+from jamsim.trigger import TriggerConfig, envelope
 
 TONE = "[tones]\nfreq_mhz = 1747.5\n"
 
@@ -235,7 +235,10 @@ class TestTypedConfigErrors:
         (lambda: PipelineConfig(seed=2.5), "seed"),
         (lambda: PipelineConfig(seed="3"), "seed"),
         (lambda: TriggerConfig(envelope_window=2.5), "envelope_window"),
-    ], ids=["n_samples", "filter_order", "seed-float", "seed-str", "envelope_window"])
+        (lambda: multi_tone([ToneSpec(1.75e9)], 10e9, 4096.5), "n_samples"),
+        (lambda: envelope(SignalBuffer([1.0, 2.0], 10e9), 2.5), "window"),
+    ], ids=["n_samples", "filter_order", "seed-float", "seed-str", "envelope_window",
+            "multi_tone-n_samples", "envelope-window"])
     def test_a_non_integer_setting_raises_invalid_parameter_naming_it(self, make, field):
         with pytest.raises(InvalidParameter, match=f"{field} must be an integer") as err:
             make()
@@ -253,6 +256,42 @@ class TestTypedConfigErrors:
         assert PipelineConfig(seed=MAX_SEED - 1).jammer40.noise.seed == MAX_SEED
         with pytest.raises(InvalidParameter):
             NoiseSpec(seed=MAX_SEED + 1)
+
+    @pytest.mark.parametrize("field", ["threshold", "high_level"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_a_non_finite_trigger_level_raises_invalid_parameter_naming_it(self, field, value):
+        # An infinite high level would reach 0 * inf in the comparator of a gated run.
+        with pytest.raises(InvalidParameter, match=f"{field} must be finite") as err:
+            TriggerConfig(**{field: value})
+        assert err.value.fields == (field,)
+
+
+STREAMS = {
+    "raw_stream": lambda seed, count, start: raw_stream(seed, count, start),
+    "uniform_stream": lambda seed, count, start: uniform_stream(seed, count, start),
+    "gaussian_stream": lambda seed, count, start: gaussian_stream(1.0, seed, count, start),
+    "rayleigh_stream": lambda seed, count, start: rayleigh_stream(1.0, seed, count, start),
+}
+
+
+@pytest.mark.parametrize("args,field", [
+    ((MAX_SEED + 1, 8, 0), "seed"),  # would alias seed 0
+    ((-1, 8, 0), "seed"),  # would alias seed MAX_SEED
+    ((2.5, 8, 0), "seed"),
+    ((1, 2.5, 0), "count"),
+    ((1, 8, 2.5), "start"),
+    ((1, "8", 0), "count"),
+], ids=["seed-2**64", "seed--1", "seed-float", "count-float", "start-float", "count-str"])
+@pytest.mark.parametrize("draw", STREAMS.values(), ids=STREAMS.keys())
+def test_a_noise_draw_rejects_a_seed_or_span_naming_it(draw, args, field):
+    with pytest.raises(InvalidParameter) as err:
+        draw(*args)
+    assert err.value.fields == (field,)
+
+
+def test_a_noise_draw_takes_every_64_bit_seed():
+    for draw in STREAMS.values():
+        assert draw(MAX_SEED, 3, 1).size == 3 and draw(0, 3, 1).size == 3
 
 
 @pytest.mark.parametrize("count", [-1, -3])

@@ -7,7 +7,13 @@ import pytest
 
 from jamsim.analysis import rms
 from jamsim.errors import InvalidParameter
-from jamsim.filterbank import BAND_FILTER_SPECS, FilterStages, frequency_response
+from jamsim.filterbank import (
+    BAND_FILTER_SPECS,
+    FilterStages,
+    apply_filter,
+    apply_filters,
+    frequency_response,
+)
 from jamsim.jammer import JammerConfig, jam
 from jamsim.pipeline import (
     MEASURE_SKIP_FRACTION,
@@ -167,14 +173,21 @@ class TestRunScenario:
                 assert (report.jammer1_rms > 0.5) == (report.trigger1_level == 5.0)
                 assert (report.jammer2_rms > 0.5) == (report.trigger2_level == 5.0)
 
-    def test_full_band_filter_output_is_exported_but_unwired(self, pipeline):
+    @pytest.mark.parametrize("n", [4096, 2**17 + 1])
+    def test_full_band_filter_is_not_run_but_given_on_demand(self, n):
+        pipeline = build_pipeline(default_pipeline_config(n_samples=n))
         report = run_scenario(pipeline, builtin_scenarios()[1])
-        full_band = report.branch_buffers["filter1"]
+        assert set(report.branch_buffers) == {
+            "input", "filter2", "filter3", "filter4", "jammer1", "jammer2"}
+        assert set(report.gates) == {"trigger1", "trigger2"}
+        assert pipeline._bank.filters == pipeline.filters[1:]
+        source = report.branch_buffers["input"]
+        full_band = apply_filter(pipeline.filters[0], source)
         # Both Band 3 tones pass the full-band filter.
         assert np.abs(full_band.samples[1024:]).max() > 1.0
-        assert set(report.branch_buffers) == {
-            "input", "filter1", "filter2", "filter3", "filter4", "jammer1", "jammer2"}
-        assert set(report.gates) == {"trigger1", "trigger2"}
+        # A bank row's bytes do not depend on the other filters run with it.
+        whole_bank = apply_filters(pipeline.filters, source)
+        assert full_band.samples.tobytes() == whole_bank[0].samples.tobytes()
 
     def test_marginal_tone_is_reported_unstable_not_resolved_silently(self, pipeline):
         # Just outside the TDD band edge the envelope straddles the

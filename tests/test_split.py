@@ -122,13 +122,12 @@ def reference_run(pipeline, scenario):
     cfg = pipeline.config
     fs = cfg.sample_rate
     source = reference_tones(scenario.tones, fs, cfg.n_samples)
-    filtered = [reference_filter(stages, source) for stages in pipeline.filters]
-    gate1 = reference_trigger(filtered[1], cfg.trigger, fs)
-    gate2 = reference_trigger(filtered[3], cfg.trigger, fs)
-    buffers = {"input": source, "filter1": filtered[0], "filter2": filtered[1],
-               "filter3": filtered[2], "filter4": filtered[3],
-               "jammer1": reference_jam(filtered[2], gate1, cfg.jammer3),
-               "jammer2": reference_jam(filtered[3], gate2, cfg.jammer40)}
+    uplink, downlink, band40 = (reference_filter(stages, source) for stages in pipeline.filters[1:])
+    gate1 = reference_trigger(uplink, cfg.trigger, fs)
+    gate2 = reference_trigger(band40, cfg.trigger, fs)
+    buffers = {"input": source, "filter2": uplink, "filter3": downlink, "filter4": band40,
+               "jammer1": reference_jam(downlink, gate1, cfg.jammer3),
+               "jammer2": reference_jam(band40, gate2, cfg.jammer40)}
     return buffers, {"trigger1": gate1, "trigger2": gate2}
 
 
@@ -334,9 +333,10 @@ PLAN_CASES = ([(6, n) for n in (2, 63, 64, 65, 4096, SPLIT + 1)]
 def test_a_pipelines_plan_gives_the_bytes_of_a_public_call(order, n):
     pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(filter_order=order))
     x = noise_buffer(n, pipeline.config.sample_rate)
-    rows, public = _run_bank(pipeline._bank, x), jamsim.apply_filters(pipeline.filters, x)
-    assert len(rows) == 4
-    for stages, row, want in zip(pipeline.filters, rows, public):
+    wired = pipeline.filters[1:]
+    rows, public = _run_bank(pipeline._bank, x), jamsim.apply_filters(wired, x)
+    assert len(rows) == 3
+    for stages, row, want in zip(wired, rows, public):
         assert row.samples.tobytes() == want.samples.tobytes()
         assert row.samples.tobytes() == reference_filter(stages, x.samples).tobytes()
         assert_near_uncut(stages, x, row)
@@ -350,7 +350,7 @@ def test_a_plan_is_read_only_and_holds_every_filters_steps(order):
               if isinstance(getattr(plan, f.name), np.ndarray)]
     assert len(arrays) == 3
     assert not any(array.flags.writeable for array in arrays)
-    assert plan.filters == pipeline.filters
+    assert plan.filters == pipeline.filters[1:]
     for stages, steps in zip(plan.filters, plan.steps):
         n_steps = len(stages._scan_steps)
         assert np.array_equal(steps[:n_steps], stages._scan_steps) and not steps[n_steps:].any()
@@ -359,10 +359,10 @@ def test_a_plan_is_read_only_and_holds_every_filters_steps(order):
 def test_replacing_the_config_plans_the_new_filters():
     pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=SPLIT + 7))
     twelve = replace(pipeline, config=replace(pipeline.config, filter_order=12))
-    assert twelve._bank.state_in.shape[:2] == (4, 12)  # six sections, two states each
-    assert set(twelve._bank.filters) == set(twelve.filters)
+    assert twelve._bank.state_in.shape[:2] == (3, 12)  # six sections, two states each
+    assert set(twelve._bank.filters) == set(twelve.filters[1:])
     report = jamsim.run_scenario(twelve, jamsim.builtin_scenarios()[3])
-    for k, stages in enumerate(twelve.filters, 1):
+    for k, stages in enumerate(twelve.filters[1:], 2):
         alone = jamsim.apply_filter(stages, report.branch_buffers["input"])
         assert report.branch_buffers[f"filter{k}"].samples.tobytes() == alone.samples.tobytes()
 
