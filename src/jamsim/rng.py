@@ -44,7 +44,7 @@ def mix64(x: int) -> int:
 
 
 def _check_draw(seed: int, count: int, start: int) -> tuple[int, int, int]:
-    """The arguments as ints; InvalidParameter naming the first outside its range."""
+    """The arguments as ints; InvalidParameter naming one that is not an integer in range."""
     count, start = check_integer(count, "count"), check_integer(start, "start")
     if count < 0:
         raise InvalidParameter(f"count must be >= 0, got {count!r}", "count")

@@ -267,8 +267,8 @@ class TestTypedConfigErrors:
 
 
 STREAMS = {
-    "raw_stream": lambda seed, count, start: raw_stream(seed, count, start),
-    "uniform_stream": lambda seed, count, start: uniform_stream(seed, count, start),
+    "raw_stream": raw_stream,
+    "uniform_stream": uniform_stream,
     "gaussian_stream": lambda seed, count, start: gaussian_stream(1.0, seed, count, start),
     "rayleigh_stream": lambda seed, count, start: rayleigh_stream(1.0, seed, count, start),
 }
@@ -287,11 +287,6 @@ def test_a_noise_draw_rejects_a_seed_or_span_naming_it(draw, args, field):
     with pytest.raises(InvalidParameter) as err:
         draw(*args)
     assert err.value.fields == (field,)
-
-
-def test_a_noise_draw_takes_every_64_bit_seed():
-    for draw in STREAMS.values():
-        assert draw(MAX_SEED, 3, 1).size == 3 and draw(0, 3, 1).size == 3
 
 
 @pytest.mark.parametrize("count", [-1, -3])
