@@ -11,8 +11,10 @@ both trigger 2 and jammer 2.  Filter 1 (the full Band 3 span) drives no branch, 
 it is designed but not run: ``apply_filter(pipeline.filters[0], input)`` gives it.
 Stages run whole-buffer, one at a time; every stage is causal and
 feed-forward, so this matches sample-interleaved execution exactly.  A
-jammer whose settled gate is never high emits exact zeros there, so its RMS
-is 0.0 without a pass over its buffer, as the circuit spends no power on it.
+branch whose detector peak |x| stays at or below the threshold costs one
+peak pass and returns the pipeline's shared read-only zeros as its gate and
+jammer, as the paper's circuit generates no output when no band is detected;
+a fired jammer's RMS is 0.0 without a pass where its settled gate is never high.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ from .signal_core import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_SEED,
     DEFAULT_TONE_AMPLITUDE,
+    MAX_N_SAMPLES,
     MAX_TOTAL_AMPLITUDE,
     NoiseSpec,
     SignalBuffer,
     ToneSpec,
+    _Owned,
     check_integer,
     check_sample_rate,
     multi_tone,
@@ -52,8 +56,6 @@ from .signal_core import (
 from .trigger import GateLine, TriggerConfig, trigger_chain
 
 
-#: Longest buffer whose float64 byte count numpy can index.
-MAX_N_SAMPLES = np.iinfo(np.intp).max // 8
 #: Leading fraction of each gate and jammer output left out of the settled
 #: measurements, so the filters' start-up transient does not count.
 MEASURE_SKIP_FRACTION = 0.25
@@ -129,7 +131,10 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    """Measured per-branch outcome of one scenario run; filters 2-4 are its only filter buffers."""
+    """Measured per-branch outcome of one scenario run; filters 2-4 are its only filter buffers.
+
+    An idle branch's gate and jammer are its pipeline's shared read-only zeros, one array.
+    """
 
     trigger1_level: float
     trigger2_level: float
@@ -150,12 +155,18 @@ class Pipeline:
     filters: tuple[FilterStages, ...] = field(init=False)
     #: Filters 2-4, the wired ones, planned once as one bank; `run_scenario` runs them from it.
     _bank: _BankPlan = field(init=False, repr=False)
+    #: An idle branch's gate, jammer buffer and settle: one read-only zero array serves both.
+    _idle: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.config
         object.__setattr__(self, "filters", tuple(
             design_bandpass(spec, cfg.sample_rate, cfg.filter_order) for spec in BAND_FILTER_SPECS))
         object.__setattr__(self, "_bank", _plan_bank(self.filters[1:]))
+        silent = SignalBuffer(_Owned(np.zeros(cfg.n_samples)), cfg.sample_rate)
+        low = GateLine(_Owned(silent.samples), silent.sample_rate, cfg.trigger.high_level)
+        idle = (low, silent, *_settle(low, silent, MEASURE_SKIP_FRACTION))
+        object.__setattr__(self, "_idle", idle)
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
@@ -173,6 +184,19 @@ def _settle(gate: GateLine, jammed: SignalBuffer, skip: float) -> tuple[float, b
     return level, stable, rms(jammed, skip) if n_high else 0.0
 
 
+def _branch(pipeline: Pipeline, detected: SignalBuffer, jammed: SignalBuffer,
+            jammer: JammerConfig) -> tuple[GateLine, SignalBuffer, float, bool, float]:
+    """Trigger on `detected`, jam `jammed` through its gate, settle both.  The envelope's
+    largest sample is the peak |x|, so a peak at or below the threshold keeps the gate low
+    and the jammer silent: that branch returns the pipeline's idle outcome and runs neither."""
+    cfg, x = pipeline.config, detected.samples
+    if max(x.max(), -x.min()) <= cfg.trigger.threshold:
+        return pipeline._idle
+    gate = trigger_chain(detected, cfg.trigger)
+    out = jam(jammed, gate, jammer)
+    return (gate, out, *_settle(gate, out, MEASURE_SKIP_FRACTION))
+
+
 def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     """Render the input, run every branch, measure the settled outcome."""
     cfg = pipeline.config
@@ -180,13 +204,9 @@ def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     source = multi_tone(scenario.tones, cfg.sample_rate, cfg.n_samples)
     band3_uplink, band3_downlink, band40 = _run_bank(pipeline._bank, source)
 
-    gate1 = trigger_chain(band3_uplink, cfg.trigger)
-    gate2 = trigger_chain(band40, cfg.trigger)
-    jam1 = jam(band3_downlink, gate1, cfg.jammer3)
-    jam2 = jam(band40, gate2, cfg.jammer40)
-
-    level1, stable1, rms1 = _settle(gate1, jam1, MEASURE_SKIP_FRACTION)
-    level2, stable2, rms2 = _settle(gate2, jam2, MEASURE_SKIP_FRACTION)
+    gate1, jam1, level1, stable1, rms1 = _branch(pipeline, band3_uplink, band3_downlink,
+                                                 cfg.jammer3)
+    gate2, jam2, level2, stable2, rms2 = _branch(pipeline, band40, band40, cfg.jammer40)
 
     return ScenarioReport(
         trigger1_level=level1,

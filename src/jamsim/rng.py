@@ -11,7 +11,9 @@ many values are drawn per call.
 Every stream is also random access by index: `start` skips straight to
 sample `start`, so `stream(..., count, start)` equals
 `stream(..., start + count)[start:]` bit for bit without computing the
-skipped samples.
+skipped samples.  Sample j takes counter j + 1, so a draw ends by sample
+2**64 - 2 (a Gaussian one, drawn in whole pairs, by 2**64 - 3); a span past
+that raises `InvalidParameter` naming start and count.
 
 Gaussian values come from Box-Muller on consecutive uniform pairs:
 sample j takes pair j // 2, cos for even j and sin for odd j.  Rayleigh
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
-from .signal_core import check_integer, check_seed
+from .signal_core import MAX_N_SAMPLES, check_integer, check_seed
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -43,13 +45,21 @@ def mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _check_draw(seed: int, count: int, start: int) -> tuple[int, int, int]:
-    """The arguments as ints; InvalidParameter naming one that is not an integer in range."""
+def _check_draw(seed: int, count: int, start: int, pairs: bool = False) -> tuple[int, int, int]:
+    """The arguments as ints; InvalidParameter naming one that is not an integer in range.
+
+    Sample j takes counter j + 1, so a draw's last counter is start + count, one more
+    when `pairs` rounds an odd end out to a whole Box-Muller pair; it must fit in 64 bits.
+    """
     count, start = check_integer(count, "count"), check_integer(start, "start")
-    if count < 0:
-        raise InvalidParameter(f"count must be >= 0, got {count!r}", "count")
+    if not 0 <= count <= MAX_N_SAMPLES:
+        raise InvalidParameter(f"count must lie in 0..{MAX_N_SAMPLES}, got {count!r}", "count")
     if start < 0:
         raise InvalidParameter(f"start must be >= 0, got {start!r}", "start")
+    last = start + count + (pairs and (start + count) % 2)
+    if last > _MASK64:
+        raise InvalidParameter(f"a draw of {count} from start {start} needs counter {last}, "
+                               f"past 2**64 - 1", "start", "count")
     return check_seed(seed), count, start
 
 
@@ -80,7 +90,7 @@ def _radius(u: np.ndarray) -> np.ndarray:
 
 def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. Normal(0, sigma^2) draws via Box-Muller, samples `start` onward."""
-    seed, count, start = _check_draw(seed, count, start)  # before rounding out hides a -1
+    seed, count, start = _check_draw(seed, count, start, pairs=True)  # before rounding hides a -1
     skip = start % 2  # an odd start begins on the sin half of a pair
     pairs = (skip + count + 1) // 2
     u = uniform_stream(mix64(seed ^ _GAUSSIAN_TAG), 2 * pairs, start - skip)

@@ -30,6 +30,8 @@ DEFAULT_TONE_AMPLITUDE = 2.0
 DEFAULT_SEED = 42
 #: Largest noise seed: the streams read a seed as 64 bits, so a larger one would alias.
 MAX_SEED = 2**64 - 1
+#: Longest buffer whose float64 byte count numpy can index.
+MAX_N_SAMPLES = np.iinfo(np.intp).max // 8
 #: Largest summed tone amplitude and largest noise sigma, in volts, and
 #: largest jammer gain.  It is far above any real voltage or gain, and low
 #: enough that no stage's samples overflow: a jammer's gain * signal + noise

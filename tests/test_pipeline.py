@@ -1,4 +1,6 @@
 import runpy
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from jamsim.pipeline import (
     MEASURE_SKIP_FRACTION,
     PipelineConfig,
     Scenario,
+    _branch,
     _settle,
     build_pipeline,
     builtin_scenarios,
@@ -26,7 +29,7 @@ from jamsim.pipeline import (
     run_scenario,
 )
 from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec
-from jamsim.trigger import GateLine, TriggerConfig
+from jamsim.trigger import GateLine, TriggerConfig, trigger_chain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios.py"
 
@@ -38,6 +41,14 @@ def pipeline():
 
 def single_tone_scenario(freq_mhz, name="probe"):
     return Scenario(name=name, tones=(ToneSpec(frequency=freq_mhz * 1e6, amplitude=2.0),))
+
+
+def generated_scenarios(seed, per_cell):
+    """perfbench's generated pool: `per_cell` scenarios of each none/band3/band40/both cell."""
+    generate = runpy.run_path(str(SCENARIOS), run_name="perfbench_scenarios")["generate_pool"]
+    return [Scenario(gen.name, tuple(ToneSpec(t.freq_hz, t.amplitude_v, t.phase_rad)
+                                     for t in gen.tones))
+            for gen in generate(seed, per_cell)]
 
 
 class TestBuild:
@@ -223,17 +234,132 @@ class TestSettledJammerRms:
         if high == "skip-region-only":
             assert np.count_nonzero(jammed.samples[:start]) and want == 0.0
 
-    def test_reports_equal_rms_of_their_jammer_buffers(self, pipeline):
-        generated = runpy.run_path(str(SCENARIOS), run_name="perfbench_scenarios")["generate_pool"]
-        scenarios = builtin_scenarios() + [  # two of each none/band3/band40/both cell
-            Scenario(gen.name, tuple(ToneSpec(t.freq_hz, t.amplitude_v, t.phase_rad)
-                                     for t in gen.tones))
-            for gen in generated(3, 2)]
+    @pytest.mark.parametrize("n", [4096, 2**17 + 1])
+    def test_reports_equal_rms_of_their_jammer_buffers(self, n):
+        # Each branch, idle or fired, gives the bytes of the full chain on its own filter rows.
+        pipeline = build_pipeline(default_pipeline_config(n_samples=n))
+        cfg, idle_branches = pipeline.config, 0
+        scenarios = builtin_scenarios() + generated_scenarios(3, 2)  # two of each cell
         for scenario in scenarios:
             report = run_scenario(pipeline, scenario)
-            for k, got in ((1, report.jammer1_rms), (2, report.jammer2_rms)):
-                want = rms(report.branch_buffers[f"jammer{k}"], MEASURE_SKIP_FRACTION)
-                assert got.hex() == want.hex(), (scenario.name, k)
+            rows = report.branch_buffers
+            for k, detected, jammed, jammer in ((1, "filter2", "filter3", cfg.jammer3),
+                                               (2, "filter4", "filter4", cfg.jammer40)):
+                gate = trigger_chain(rows[detected], cfg.trigger)
+                out = jam(rows[jammed], gate, jammer)
+                level, stable, settled_rms = _settle(gate, out, MEASURE_SKIP_FRACTION)
+                got_gate, got_out = report.gates[f"trigger{k}"], rows[f"jammer{k}"]
+                where = (scenario.name, k)
+                assert got_gate.levels.tobytes() == gate.levels.tobytes(), where
+                assert (got_gate.sample_rate, got_gate.high_level) == (
+                    gate.sample_rate, gate.high_level), where
+                assert got_out.samples.tobytes() == out.samples.tobytes(), where
+                assert got_out.sample_rate == out.sample_rate, where
+                got = (getattr(report, f"trigger{k}_level"), getattr(report, f"trigger{k}_stable"),
+                       getattr(report, f"jammer{k}_rms"))
+                assert (got[0].hex(), got[1], got[2].hex()) == (
+                    level.hex(), stable, settled_rms.hex()), where
+                assert got[2].hex() == rms(got_out, MEASURE_SKIP_FRACTION).hex(), where
+                idle_branches += got_gate is pipeline._idle[0]
+        assert 0 < idle_branches < 2 * len(scenarios)  # both paths ran
+
+
+class TestIdleBranch:
+    """A branch whose detector peak stays at or below the threshold costs one peak pass."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_the_peak_decides_at_the_threshold(self, pipeline, sign, above):
+        cfg = pipeline.config
+        n, threshold = cfg.n_samples, cfg.trigger.threshold
+        samples = 0.5 * np.sin(np.arange(n) * 0.3)
+        samples[2000] = sign * (np.nextafter(threshold, np.inf) if above else threshold)
+        detected = SignalBuffer(samples, cfg.sample_rate)
+        jammed = SignalBuffer(np.random.default_rng(5).standard_normal(n), cfg.sample_rate)
+        gate, out, level, stable, settled_rms = _branch(pipeline, detected, jammed, cfg.jammer3)
+        want_gate = trigger_chain(detected, cfg.trigger)
+        want_out = jam(jammed, want_gate, cfg.jammer3)
+        want_level, want_stable, want_rms = _settle(want_gate, want_out, MEASURE_SKIP_FRACTION)
+        assert gate.levels.tobytes() == want_gate.levels.tobytes()
+        assert out.samples.tobytes() == want_out.samples.tobytes()
+        assert (level, stable, settled_rms.hex()) == (want_level, want_stable, want_rms.hex())
+        # Only a peak past the threshold opens the gate (for a few samples after it, so the
+        # gate is unstable); a peak at the threshold is the idle outcome.
+        assert (gate is pipeline._idle[0]) is not above
+        assert bool(np.count_nonzero(gate.levels)) is above
+        assert (level, stable) == (0.0, not above)
+
+    def test_an_idle_run_calls_no_trigger_and_no_jammer(self, monkeypatch):
+        pipeline = build_pipeline(default_pipeline_config())
+        scenarios = [builtin_scenarios()[0], generated_scenarios(3, 1)[0]]  # input1, none-0
+        want = [run_scenario(pipeline, s) for s in scenarios]
+
+        def refuse(*args):  # stands in for trigger_chain and jam
+            raise AssertionError("an idle branch ran a trigger or a jammer")
+        monkeypatch.setattr("jamsim.pipeline.trigger_chain", refuse)
+        monkeypatch.setattr("jamsim.pipeline.jam", refuse)
+        for scenario, before in zip(scenarios, want):
+            report = run_scenario(pipeline, scenario)
+            assert report.verdicts == {"band3": False, "band40": False}, scenario.name
+            assert all(report.gates[k] is before.gates[k] is pipeline._idle[0]
+                       for k in ("trigger1", "trigger2")), scenario.name
+
+    def test_idle_objects_are_read_only_and_shared(self, pipeline):
+        first, second = (run_scenario(pipeline, builtin_scenarios()[0]) for _ in range(2))
+        gate, silent = first.gates["trigger1"], first.branch_buffers["jammer1"]
+        for report in (first, second):
+            assert report.gates["trigger1"] is gate and report.gates["trigger2"] is gate
+            assert report.branch_buffers["jammer1"] is silent
+            assert report.branch_buffers["jammer2"] is silent
+        assert gate.levels is silent.samples  # one zero array for the gate and the jammer
+        assert not gate.levels.flags.writeable
+        with pytest.raises(ValueError):
+            silent.samples[0] = 1.0
+        assert silent.samples.tobytes() == bytes(8 * pipeline.config.n_samples)
+        # A band 3 run leaves only the band 40 branch idle.
+        band3 = run_scenario(pipeline, builtin_scenarios()[1])
+        assert band3.gates["trigger2"] is gate and band3.gates["trigger1"] is not gate
+
+    def test_a_replaced_config_gets_its_own_idle_objects(self, pipeline):
+        longer = replace(pipeline, config=replace(pipeline.config, n_samples=5000))
+        report = run_scenario(longer, builtin_scenarios()[0])
+        gate = report.gates["trigger1"]
+        assert gate is longer._idle[0] and gate is not pipeline._idle[0]
+        assert len(gate) == len(report.branch_buffers["jammer2"]) == 5000
+        assert len(pipeline._idle[0]) == pipeline.config.n_samples
+
+    def test_two_threads_get_the_bytes_of_serial_runs(self, pipeline):
+        scenarios = [builtin_scenarios()[0], builtin_scenarios()[3]]  # none and both
+
+        def fingerprint(report):
+            return ([buf.samples.tobytes() for buf in report.branch_buffers.values()]
+                    + [gate.levels.tobytes() for gate in report.gates.values()]
+                    + [report.jammer1_rms, report.jammer2_rms, report.trigger1_stable,
+                       report.trigger2_stable, report.trigger1_level, report.trigger2_level])
+
+        serial = [fingerprint(run_scenario(pipeline, s)) for s in scenarios]
+        results, errors = [[] for _ in range(4)], []  # more callers than CPUs
+
+        def call(k):
+            try:
+                for _ in range(20):
+                    results[k].append(fingerprint(run_scenario(pipeline, scenarios[k % 2])))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert errors == []
+        assert results == [[serial[k % 2]] * 20 for k in range(len(results))]
 
 
 class TestSweepSpotChecks:
