@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .signal_core import SignalBuffer, _as_readonly_f64
+from .signal_core import SignalBuffer, _as_readonly_f64, check_number
 
 #: dB value substituted for zero-power bins so output stays finite.
 DB_FLOOR = -200.0
@@ -22,8 +22,8 @@ class Spectrum:
     resolution: float
 
     def __post_init__(self):
-        freqs = _as_readonly_f64(self.freqs)
-        power = _as_readonly_f64(self.power_db)
+        freqs = _as_readonly_f64(self.freqs, "freqs")
+        power = _as_readonly_f64(self.power_db, "power_db")
         if freqs.shape != power.shape:
             raise InvalidParameter("freqs and power_db must align")
         object.__setattr__(self, "freqs", freqs)
@@ -60,8 +60,7 @@ def rms(signal: SignalBuffer, skip_fraction: float = 0.0) -> float:
 
     inf, without a warning, if the squares overflow.
     """
-    if not 0.0 <= skip_fraction < 1.0:
-        raise InvalidParameter(f"skip_fraction must lie in [0, 1), got {skip_fraction!r}")
+    skip_fraction = check_number(skip_fraction, "skip_fraction", 0.0, 1.0)
     start = int(skip_fraction * len(signal))
     tail = signal.samples[start:]
     if tail.size == 0:

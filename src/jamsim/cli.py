@@ -48,7 +48,7 @@ from .pipeline import (
     run_scenario,
 )
 from .scenario_io import _write_csv, parse_scenario_file, write_spectrum_csv, write_timeseries_csv
-from .signal_core import DEFAULT_SAMPLE_RATE, DEFAULT_SEED
+from .signal_core import DEFAULT_SAMPLE_RATE, DEFAULT_SEED, check_number
 
 SEED_ENV_VAR = "JAMSIM_SEED"
 #: Timestamp placeholder written under --reproducible.
@@ -108,9 +108,8 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
     ambient = _ambient_seed()
     if args.builtin is not None:
         builtins = builtin_scenarios()
-        if not 1 <= args.builtin <= len(builtins):
-            raise InvalidParameter(f"--builtin must be in 1..{len(builtins)}")
-        scenario = builtins[args.builtin - 1]
+        scenario = builtins[check_number(args.builtin, "--builtin", 1, len(builtins),
+                                         integer=True) - 1]
         config = PipelineConfig(seed=ambient)
     else:
         try:
@@ -261,10 +260,9 @@ def _cmd_scenarios() -> int:
 
 
 def _cmd_response(args) -> int:
-    if not 1 <= args.filter <= 4:
-        raise InvalidParameter("--filter must be in 1..4")
+    k = check_number(args.filter, "--filter", 1, len(BAND_FILTER_SPECS), integer=True)
     _refuse_foreign(args.out, _is_response_csv, "response CSV")
-    stages = design_bandpass(BAND_FILTER_SPECS[args.filter - 1], DEFAULT_SAMPLE_RATE)
+    stages = design_bandpass(BAND_FILTER_SPECS[k - 1], DEFAULT_SAMPLE_RATE)
     freqs = np.linspace(0.0, stages.sample_rate / 2.0, 2049)
     mag_db, phase = frequency_response(stages, freqs)
     with _atomic_output(args.out) as path:

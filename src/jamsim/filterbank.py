@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, JamSimError
-from .signal_core import SignalBuffer, _in_halves, _Owned, check_integer, check_sample_rate
+from .signal_core import (SignalBuffer, _as_readonly_f64, _in_halves, _Owned, check_field,
+                          check_number)
 
 DEFAULT_FILTER_ORDER = 6
 #: Samples per block of the blocked run (a power of two).
@@ -63,9 +64,9 @@ class FilterSpec:
     band_high: float
 
     def __post_init__(self):
-        if not 0.0 < self.band_low < self.band_high:
-            raise InvalidParameter(f"band edges must satisfy 0 < band_low < band_high, "
-                                   f"got {self.band_low}..{self.band_high} MHz")
+        check_field(self, "id", integer=True)
+        check_field(self, "band_low", 0.0, above=True)
+        check_field(self, "band_high", self.band_low, above=True)
 
     @property
     def center(self) -> float:
@@ -110,6 +111,7 @@ class FilterStages:
     _scan_steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_field(self, "sample_rate", 0.0, above=True)
         sos = np.array(self.sos, dtype=np.float64)
         if sos.ndim != 2 or sos.shape[1] != 6 or not len(sos) or np.any(sos[:, 3] != 1.0):
             raise InvalidParameter("sos must be an array of one or more rows "
@@ -216,10 +218,17 @@ def _section_responses(sos: np.ndarray, z) -> np.ndarray:
 
 def check_filter_order(order: int) -> int:
     """`order` as an int; InvalidParameter unless it is an even integer >= 2."""
-    order = check_integer(order, "filter_order")
+    order = check_number(order, "filter_order", integer=True)
     if order < 2 or order % 2 != 0:
         raise InvalidParameter(f"filter order must be even and >= 2, got {order!r}", "filter_order")
     return order
+
+
+def check_band_edge(edge_mhz: float, sample_rate: float) -> None:
+    """InvalidParameter naming sample_rate unless a band edge lies below its Nyquist."""
+    if edge_mhz * 1e6 >= sample_rate / 2.0:
+        raise InvalidParameter(f"band edge {edge_mhz} MHz is not below Nyquist "
+                               f"at fs={sample_rate} Hz", "sample_rate")
 
 
 # At extreme sample rates the design overflows or loses all precision;
@@ -234,13 +243,9 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     be even.
     """
     order = check_filter_order(order)
-    check_sample_rate(sample_rate)
-    f_low = spec.band_low * 1e6
-    f_high = spec.band_high * 1e6
-    if f_high >= sample_rate / 2.0:
-        raise InvalidParameter(f"band edge {spec.band_high} MHz is not below Nyquist "
-                               f"at fs={sample_rate} Hz")
-    n = order // 2
+    sample_rate = check_number(sample_rate, "sample_rate", 0.0, above=True)
+    check_band_edge(spec.band_high, sample_rate)
+    f_low, f_high, n = spec.band_low * 1e6, spec.band_high * 1e6, order // 2
 
     # Pre-warp the band edges so the bilinear transform lands the
     # analog -3 dB points exactly on the requested digital edges.
@@ -286,8 +291,8 @@ def frequency_response(stages: FilterStages, freqs) -> tuple[np.ndarray, np.ndar
     Returns (magnitude_db, phase_rad) arrays.  Magnitude is floored at
     -300 dB so exact transfer-function zeros stay representable.
     """
-    f = np.asarray(freqs, dtype=np.float64).reshape(-1)
-    if f.size and (f.min() < 0.0 or f.max() > stages.sample_rate / 2.0):
+    f = _as_readonly_f64(freqs, "freqs")
+    if not ((f >= 0.0) & (f <= stages.sample_rate / 2.0)).all():  # NaN fails both
         raise InvalidParameter("response frequencies must lie in [0, fs/2]")
     z = np.exp(-2j * np.pi * f / stages.sample_rate)
     h = np.prod(_section_responses(stages.sos, z), axis=0)

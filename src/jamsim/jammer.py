@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .errors import InvalidParameter
 from .signal_core import (_BLOCK, DEFAULT_SEED, MAX_TOTAL_AMPLITUDE, NoiseSpec, SignalBuffer,
-                          _in_halves, _Owned)
+                          _in_halves, _Owned, check_field)
 from .trigger import GateLine
 
 DEFAULT_GAIN = 5.0
@@ -36,9 +36,7 @@ class JammerConfig:
     def __post_init__(self):
         # gain >= 1 so the stage never attenuates; gain == 1 is the
         # degenerate identity configuration used for calibration.
-        if not 1.0 <= self.gain <= MAX_TOTAL_AMPLITUDE:
-            raise InvalidParameter(f"jammer gain must lie in [1, {MAX_TOTAL_AMPLITUDE:g}], "
-                                   f"got {self.gain!r}", "gain")
+        check_field(self, "gain", 1.0, MAX_TOTAL_AMPLITUDE)
 
 
 def jam(signal: SignalBuffer, gate: GateLine, config: JammerConfig) -> SignalBuffer:

@@ -19,9 +19,9 @@ a fired jammer's RMS is 0.0 without a pass where its settled gate is never high.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .filterbank import (
     _BankPlan,
     _plan_bank,
     _run_bank,
+    check_band_edge,
     check_filter_order,
     design_bandpass,
 )
@@ -49,8 +50,7 @@ from .signal_core import (
     SignalBuffer,
     ToneSpec,
     _Owned,
-    check_integer,
-    check_sample_rate,
+    check_field,
     multi_tone,
 )
 from .trigger import GateLine, TriggerConfig, trigger_chain
@@ -79,14 +79,13 @@ class PipelineConfig:
     rayleigh_sigma: float = DEFAULT_NOISE_SIGMA
 
     def __post_init__(self):
-        check_sample_rate(self.sample_rate)
-        for name in ("n_samples", "filter_order", "seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
-        check_filter_order(self.filter_order)
-        if not 2 <= self.n_samples <= MAX_N_SAMPLES:
-            raise InvalidParameter(f"n_samples must lie in 2..{MAX_N_SAMPLES}, "
-                                   f"got {self.n_samples!r}", "n_samples")
-        self.jammer3, self.jammer40  # check gain, both sigmas and both seeds, seed+1 too
+        check_field(self, "sample_rate", 0.0, above=True)
+        check_band_edge(max(spec.band_high for spec in BAND_FILTER_SPECS), self.sample_rate)
+        check_field(self, "n_samples", 2, MAX_N_SAMPLES, integer=True)
+        object.__setattr__(self, "filter_order", check_filter_order(self.filter_order))
+        for name, value in {"gain": self.jammer3.gain, **asdict(self.jammer3.noise)}.items():
+            object.__setattr__(self, name, value)  # as jammer3 checked and stored it
+        self.jammer40  # checks seed+1
 
     @property
     def measure_skip_fraction(self) -> float:
@@ -120,9 +119,12 @@ class Scenario:
     tones: tuple[ToneSpec, ...]
 
     def __post_init__(self):
-        if not self.name:
-            raise InvalidParameter("scenario name must be non-empty")
-        object.__setattr__(self, "tones", tuple(self.tones))
+        if not isinstance(self.name, str) or not self.name:
+            raise InvalidParameter(f"name must be a non-empty str, got {self.name!r}", "name")
+        tones = tuple(self.tones) if isinstance(self.tones, Iterable) else None
+        if tones is None or not all(isinstance(tone, ToneSpec) for tone in tones):
+            raise InvalidParameter(f"tones must be ToneSpec values, got {self.tones!r}", "tones")
+        object.__setattr__(self, "tones", tones)
         total = sum(tone.amplitude for tone in self.tones)
         if not total <= MAX_TOTAL_AMPLITUDE:
             raise InvalidParameter(f"tone amplitudes sum to {total!r} V, above the "

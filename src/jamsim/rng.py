@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
-from .signal_core import MAX_N_SAMPLES, check_integer, check_seed
+from .signal_core import MAX_N_SAMPLES, MAX_SEED, MAX_TOTAL_AMPLITUDE, check_number
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,16 +51,13 @@ def _check_draw(seed: int, count: int, start: int, pairs: bool = False) -> tuple
     Sample j takes counter j + 1, so a draw's last counter is start + count, one more
     when `pairs` rounds an odd end out to a whole Box-Muller pair; it must fit in 64 bits.
     """
-    count, start = check_integer(count, "count"), check_integer(start, "start")
-    if not 0 <= count <= MAX_N_SAMPLES:
-        raise InvalidParameter(f"count must lie in 0..{MAX_N_SAMPLES}, got {count!r}", "count")
-    if start < 0:
-        raise InvalidParameter(f"start must be >= 0, got {start!r}", "start")
+    count = check_number(count, "count", 0, MAX_N_SAMPLES, integer=True)
+    start = check_number(start, "start", 0, integer=True)
     last = start + count + (pairs and (start + count) % 2)
     if last > _MASK64:
         raise InvalidParameter(f"a draw of {count} from start {start} needs counter {last}, "
                                f"past 2**64 - 1", "start", "count")
-    return check_seed(seed), count, start
+    return check_number(seed, "seed", 0, MAX_SEED, integer=True), count, start
 
 
 def raw_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -91,6 +88,7 @@ def _radius(u: np.ndarray) -> np.ndarray:
 def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. Normal(0, sigma^2) draws via Box-Muller, samples `start` onward."""
     seed, count, start = _check_draw(seed, count, start, pairs=True)  # before rounding hides a -1
+    sigma = check_number(sigma, "sigma", 0.0, MAX_TOTAL_AMPLITUDE)
     skip = start % 2  # an odd start begins on the sin half of a pair
     pairs = (skip + count + 1) // 2
     u = uniform_stream(mix64(seed ^ _GAUSSIAN_TAG), 2 * pairs, start - skip)
@@ -104,5 +102,6 @@ def gaussian_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.n
 def rayleigh_stream(sigma: float, seed: int, count: int, start: int = 0) -> np.ndarray:
     """i.i.d. Rayleigh(scale=sigma) draws, all >= 0, samples `start` onward."""
     seed, count, start = _check_draw(seed, count, start)  # before mix64 masks the seed
+    sigma = check_number(sigma, "sigma", 0.0, MAX_TOTAL_AMPLITUDE)
     u = _radius(uniform_stream(mix64(seed ^ _RAYLEIGH_TAG), count, start))
     return np.multiply(sigma, u, out=u)

@@ -11,6 +11,7 @@ The noise streams themselves come from `jamsim.rng`.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -44,29 +45,30 @@ MAX_TOTAL_AMPLITUDE = 1e100
 _BLOCK = 16384
 
 
-def check_sample_rate(sample_rate: float) -> float:
-    """`sample_rate` as a float; InvalidParameter unless finite and > 0."""
-    rate = float(sample_rate)
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise InvalidParameter(f"sample_rate must be finite and > 0, got {sample_rate!r}",
-                               "sample_rate")
-    return rate
-
-
-def check_integer(value, name: str) -> int:
-    """`value` as an int; InvalidParameter naming `name` unless it is an integer type."""
+def check_number(value, name: str, lo: float = -math.inf, hi: float = math.inf, *,
+                 integer: bool = False, above: bool = False):
+    """`value` as an int if `integer`, else as a float; InvalidParameter naming `name` unless
+    it is such a number and no bool, finite, and in [lo, hi], or in (lo, hi] if `above`."""
+    exact, kind = (int, numbers.Integral) if integer else (float, numbers.Real)
+    if type(value) is not exact and (type(value) is bool or not isinstance(value, kind)):
+        raise InvalidParameter(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                               f"got {value!r}", name)
     try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}", name) from None
+        out = operator.index(value) if integer else float(value)
+    except OverflowError:  # an int past the float range
+        out = math.inf
+    if not integer and not math.isfinite(out):
+        raise InvalidParameter(f"{name} must be finite, got {value!r}", name)
+    if (out <= lo if above else out < lo) or out > hi:
+        upper = "" if hi == math.inf else f" and <= {hi!r}"
+        raise InvalidParameter(f"{name} must be {'>' if above else '>='} {lo!r}{upper}, "
+                               f"got {value!r}", name)
+    return out
 
 
-def check_seed(seed) -> int:
-    """`seed` as an int; InvalidParameter naming seed unless an integer in 0..MAX_SEED."""
-    seed = check_integer(seed, "seed")
-    if not 0 <= seed <= MAX_SEED:
-        raise InvalidParameter(f"seed must lie in 0..{MAX_SEED}, got {seed!r}", "seed")
-    return seed
+def check_field(config, name: str, *bounds, **kind) -> None:
+    """`check_number` of field `name` of a frozen dataclass, storing the value it returns."""
+    object.__setattr__(config, name, check_number(getattr(config, name), name, *bounds, **kind))
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,12 @@ class _Owned:
     array: np.ndarray
 
 
-def _as_readonly_f64(values) -> np.ndarray:
-    arr = (values.array if isinstance(values, _Owned)
-           else np.array(values, dtype=np.float64, copy=True).reshape(-1))
+def _as_readonly_f64(values, name: str) -> np.ndarray:
+    try:
+        arr = (values.array if isinstance(values, _Owned)
+               else np.array(values, dtype=np.float64, copy=True).reshape(-1))
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{name} must be real numbers", name) from None
     arr.setflags(write=False)
     return arr
 
@@ -112,12 +117,11 @@ class SignalBuffer:
     sample_rate: float
 
     def __post_init__(self):
-        rate = check_sample_rate(self.sample_rate)
-        arr = _as_readonly_f64(self.samples)
+        check_field(self, "sample_rate", 0.0, above=True)
+        arr = _as_readonly_f64(self.samples, "samples")
         if arr.size and not np.isfinite(arr).all():
-            raise InvalidParameter("samples must all be finite")
+            raise InvalidParameter("samples must all be finite", "samples")
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -141,12 +145,9 @@ class ToneSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.frequency) or self.frequency <= 0.0:
-            raise InvalidParameter(f"frequency must be > 0 Hz, got {self.frequency!r}", "frequency")
-        if not np.isfinite(self.amplitude) or self.amplitude < 0.0:
-            raise InvalidParameter(f"amplitude must be >= 0 V, got {self.amplitude!r}", "amplitude")
-        if not np.isfinite(self.phase):
-            raise InvalidParameter(f"phase must be finite, got {self.phase!r}", "phase")
+        check_field(self, "frequency", 0.0, above=True)
+        check_field(self, "amplitude", 0.0)
+        check_field(self, "phase")
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gaussian_sigma", "rayleigh_sigma"):
-            if not 0.0 <= getattr(self, name) <= MAX_TOTAL_AMPLITUDE:
-                raise InvalidParameter(f"{name} must lie in [0, {MAX_TOTAL_AMPLITUDE:g}] V, "
-                                       f"got {getattr(self, name)!r}", name)
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        check_field(self, "gaussian_sigma", 0.0, MAX_TOTAL_AMPLITUDE)
+        check_field(self, "rayleigh_sigma", 0.0, MAX_TOTAL_AMPLITUDE)
+        check_field(self, "seed", 0, MAX_SEED, integer=True)
 
 
 def check_below_nyquist(tones, sample_rate: float) -> None:
@@ -181,10 +180,8 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     each product a_k sin(...) stays a normal float; a subnormal product
     (below about 2.2e-308 in size) may round one step (5e-324) off.
     """
-    check_sample_rate(sample_rate)
-    n_samples = check_integer(n_samples, "n_samples")
-    if n_samples < 0:
-        raise InvalidParameter(f"n_samples must be >= 0, got {n_samples!r}", "n_samples")
+    sample_rate = check_number(sample_rate, "sample_rate", 0.0, above=True)
+    n_samples = check_number(n_samples, "n_samples", 0, MAX_N_SAMPLES, integer=True)
     check_below_nyquist(tones, sample_rate)
     acc, scratch = np.empty(n_samples), np.empty((2, 2, min(n_samples, _BLOCK)))
     ramp = np.arange(min(n_samples, _BLOCK), dtype=np.float64)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .filterbank import LOWEST_PASSBAND_HZ
-from .signal_core import SignalBuffer, _as_readonly_f64, _in_halves, _Owned, check_integer
+from .signal_core import (SignalBuffer, _as_readonly_f64, _in_halves, _Owned, check_field,
+                          check_number)
 
 DEFAULT_THRESHOLD = 1.0
 DEFAULT_HIGH_LEVEL = 5.0
@@ -39,18 +40,12 @@ class TriggerConfig:
     envelope_window: int | None = None
 
     def __post_init__(self):
-        for name in ("threshold", "high_level"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameter(f"{name} must be finite, got {getattr(self, name)!r}", name)
-        if not self.threshold > 0.0:
-            raise InvalidParameter("threshold must be > 0", "threshold")
+        check_field(self, "threshold", 0.0, above=True)
+        check_field(self, "high_level")
         if not self.high_level > self.threshold:
             raise InvalidParameter("high_level must exceed threshold", "threshold", "high_level")
         if self.envelope_window is not None:
-            window = check_integer(self.envelope_window, "envelope_window")
-            if window < 1:
-                raise InvalidParameter("envelope_window must be >= 1 sample", "envelope_window")
-            object.__setattr__(self, "envelope_window", window)
+            check_field(self, "envelope_window", 1, integer=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +57,7 @@ class GateLine:
     high_level: float = DEFAULT_HIGH_LEVEL
 
     def __post_init__(self):
-        arr = _as_readonly_f64(self.levels)
+        arr = _as_readonly_f64(self.levels, "levels")
         if not ((arr == 0.0) | (arr == self.high_level)).all():
             raise InvalidParameter("gate levels must be exactly 0 or exactly high_level")
         object.__setattr__(self, "levels", arr)
@@ -95,9 +90,7 @@ def envelope(signal: SignalBuffer, window: int) -> SignalBuffer:
     window - s samples.  O(n log window) and exact, since max does not
     round.  Two buffers take turns, so no step reads what it writes.
     """
-    window = check_integer(window, "window")
-    if window < 1:
-        raise InvalidParameter(f"envelope window must be >= 1, got {window}", "window")
+    window = check_number(window, "window", 1, integer=True)
     x = signal.samples
     return SignalBuffer(_Owned(_trailing_max(x.copy(), np.empty_like(x), window)),
                         signal.sample_rate)

@@ -193,6 +193,8 @@ class TestFrequencyResponse:
             frequency_response(stages, [FS / 2.0 + 1.0])
         with pytest.raises(InvalidParameter, match=r"\[0, fs/2\]"):
             frequency_response(stages, [-1.0])
+        with pytest.raises(InvalidParameter, match=r"\[0, fs/2\]"):
+            frequency_response(stages, [1e9, np.nan])
 
     def test_cross_band_rejection_at_least_40db(self, default_filters):
         assert mag_db_at(default_filters[1], 2355e6) <= -40.0

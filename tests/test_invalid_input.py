@@ -3,12 +3,16 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from jamsim.analysis import rms
 from jamsim.cli import run_cli
 from jamsim.errors import InvalidParameter, ParseError
+from jamsim.filterbank import BAND_FILTER_SPECS, FilterSpec, FilterStages, design_bandpass
+from jamsim.jammer import JammerConfig
 from jamsim.pipeline import MAX_TOTAL_AMPLITUDE, PipelineConfig, Scenario
 from jamsim.rng import gaussian_stream, raw_stream, rayleigh_stream, uniform_stream
 from jamsim.scenario_io import parse_scenario_file
@@ -94,6 +98,7 @@ BAD_FILES = [
     (TONE + "[sim]\nseed = 18446744073709551615\n", 4),
     (TONE + "[sim]\nseed = 1\nfilter_order = 3\n", 5),
     (TONE + "[sim]\nsample_rate_hz = 0\n", 4),
+    (TONE + "[sim]\nsample_rate_hz = 4e9\n", 4),  # under twice the highest band edge
     (TONE + "[trigger]\nenvelope_window = 0\n", 4),
 ]
 
@@ -216,33 +221,106 @@ class TestInvalidFileValues:
         assert not isinstance(err.value, ParseError)
 
 
-class TestTypedConfigErrors:
-    @pytest.mark.parametrize("kwargs", [
-        {"sample_rate": float("nan")}, {"sample_rate": float("inf")}, {"sample_rate": 0.0},
-        {"filter_order": 3}, {"filter_order": 0}, {"n_samples": 0}, {"n_samples": 1},
-        {"n_samples": 2**63}, {"seed": -1},
-        {"gain": 0.5}, {"rayleigh_sigma": -1.0},
-        {"gaussian_sigma": 1e101}, {"rayleigh_sigma": float("inf")},
-        {"gain": 1e101}, {"gain": float("nan")},
-    ])
-    def test_pipeline_config_raises_invalid_parameter(self, kwargs):
-        with pytest.raises(InvalidParameter):
-            PipelineConfig(**kwargs)
+BUFFER = SignalBuffer([1.0, 2.0], 10e9)
+UPLINK = BAND_FILTER_SPECS[1]
+STAGES = design_bandpass(UPLINK, 10e9)
+#: Each noise stream and the arguments of a valid draw from it.
+STREAMS = {
+    raw_stream: {"seed": 1, "count": 8, "start": 0},
+    uniform_stream: {"seed": 1, "count": 8, "start": 0},
+    gaussian_stream: {"sigma": 1.0, "seed": 1, "count": 8, "start": 0},
+    rayleigh_stream: {"sigma": 1.0, "seed": 1, "count": 8, "start": 0},
+}
+#: Every numeric setting: a call that passes it the value under test, the name it goes by,
+#: a value it accepts, and the values invalid for it alone (out of its range, or a fraction
+#: where it counts).
+SETTINGS = {
+    "ToneSpec.frequency": (lambda v: ToneSpec(v), "frequency", 1e9, (0.0, -1.0)),
+    "ToneSpec.amplitude": (lambda v: ToneSpec(1e9, v), "amplitude", 0.0, (-1e-300,)),
+    "ToneSpec.phase": (lambda v: ToneSpec(1e9, 2.0, v), "phase", -1.0, ()),
+    "NoiseSpec.gaussian_sigma": (lambda v: NoiseSpec(gaussian_sigma=v), "gaussian_sigma",
+                                 MAX_TOTAL_AMPLITUDE, (-1.0, 1e101)),
+    "NoiseSpec.rayleigh_sigma": (lambda v: NoiseSpec(rayleigh_sigma=v), "rayleigh_sigma", 0.0,
+                                 (-1.0, 1e101)),
+    "NoiseSpec.seed": (lambda v: NoiseSpec(seed=v), "seed", MAX_SEED, (-1, MAX_SEED + 1, 2.5)),
+    "JammerConfig.gain": (lambda v: JammerConfig(gain=v), "gain", 1.0, (0.5, 1e101)),
+    "TriggerConfig.threshold": (lambda v: TriggerConfig(threshold=v), "threshold", 4.0,
+                                (0.0,)),
+    "TriggerConfig.high_level": (lambda v: TriggerConfig(high_level=v), "high_level", 1.5, ()),
+    "TriggerConfig.envelope_window": (lambda v: TriggerConfig(envelope_window=v),
+                                      "envelope_window", 1, (0, 2.5)),
+    "PipelineConfig.sample_rate": (lambda v: PipelineConfig(sample_rate=v), "sample_rate",
+                                   4.82e9, (0.0, -1e10, 4.81e9)),
+    "PipelineConfig.n_samples": (lambda v: PipelineConfig(n_samples=v), "n_samples", 2,
+                                 (0, 1, 2**63, 4096.5)),
+    "PipelineConfig.filter_order": (lambda v: PipelineConfig(filter_order=v), "filter_order",
+                                    2, (0, 3, 6.0)),
+    "PipelineConfig.seed": (lambda v: PipelineConfig(seed=v), "seed", 0, (-1, 2**70, 2.5)),
+    "PipelineConfig.gain": (lambda v: PipelineConfig(gain=v), "gain", 1, (0.5, 1e101)),
+    "PipelineConfig.gaussian_sigma": (lambda v: PipelineConfig(gaussian_sigma=v),
+                                      "gaussian_sigma", 0, (-1.0, 1e101)),
+    "PipelineConfig.rayleigh_sigma": (lambda v: PipelineConfig(rayleigh_sigma=v),
+                                      "rayleigh_sigma", 0, (-1.0, 1e101)),
+    "FilterSpec.id": (lambda v: FilterSpec(v, 1710.0, 1785.0), "id", -7, (2.5,)),
+    "FilterSpec.band_low": (lambda v: FilterSpec(2, v, 1785.0), "band_low", 1e-9, (0.0, -1.0)),
+    "FilterSpec.band_high": (lambda v: FilterSpec(2, 1710.0, v), "band_high", 1710.5,
+                             (1710.0, 1.0)),
+    "FilterStages.sample_rate": (lambda v: FilterStages(STAGES.sos, v, UPLINK), "sample_rate",
+                                 1.0, (0.0,)),
+    "SignalBuffer.sample_rate": (lambda v: SignalBuffer([1.0], v), "sample_rate", 1,
+                                 (0.0, -1.0)),
+    "multi_tone.sample_rate": (lambda v: multi_tone([], v, 4), "sample_rate", 1.0, (0.0,)),
+    "multi_tone.n_samples": (lambda v: multi_tone([], 10e9, v), "n_samples", 0, (-1, 4096.5)),
+    "envelope.window": (lambda v: envelope(BUFFER, v), "window", 10**29, (0, 2.5)),
+    "rms.skip_fraction": (lambda v: rms(BUFFER, v), "skip_fraction", 0.5, (-0.1, 1.5)),
+    "design_bandpass.sample_rate": (lambda v: design_bandpass(UPLINK, v), "sample_rate", 5e9,
+                                    (0.0, 3.5e9)),
+    "design_bandpass.order": (lambda v: design_bandpass(UPLINK, 10e9, v), "filter_order", 2,
+                              (0, 3, 6.0)),
+    **{f"{draw.__name__}.{arg}": (lambda v, draw=draw, args=args, arg=arg: draw(**{**args, arg: v}),
+                                  arg, valid, out)
+       for draw, args in STREAMS.items()
+       for arg, valid, out in (("seed", MAX_SEED, (-1, MAX_SEED + 1, 2.5)),
+                               ("count", 0, (-1, 2.5)), ("start", 2**63, (-1, 2.5)),
+                               ("sigma", 0.0, (-1.0, 1e101)))
+       if arg in args},
+}
+#: Values no numeric setting accepts.
+NOT_A_SETTING = {"str": "1", "None": None, "bool": True, "nan": float("nan"),
+                 "inf": float("inf")}
 
-    @pytest.mark.parametrize("make,field", [
-        (lambda: PipelineConfig(n_samples=4096.5), "n_samples"),
-        (lambda: PipelineConfig(filter_order=6.0), "filter_order"),
-        (lambda: PipelineConfig(seed=2.5), "seed"),
-        (lambda: PipelineConfig(seed="3"), "seed"),
-        (lambda: TriggerConfig(envelope_window=2.5), "envelope_window"),
-        (lambda: multi_tone([ToneSpec(1.75e9)], 10e9, 4096.5), "n_samples"),
-        (lambda: envelope(SignalBuffer([1.0, 2.0], 10e9), 2.5), "window"),
-    ], ids=["n_samples", "filter_order", "seed-float", "seed-str", "envelope_window",
-            "multi_tone-n_samples", "envelope-window"])
-    def test_a_non_integer_setting_raises_invalid_parameter_naming_it(self, make, field):
-        with pytest.raises(InvalidParameter, match=f"{field} must be an integer") as err:
-            make()
-        assert err.value.fields == (field,)
+
+class TestTypedConfigErrors:
+    @pytest.mark.parametrize("make,name,value", [
+        pytest.param(make, name, value, id=f"{label}-{kind}")
+        for label, (make, name, _, out) in SETTINGS.items()
+        for kind, value in [*NOT_A_SETTING.items(), *((repr(v), v) for v in out)]
+        if not (value is None and label == "TriggerConfig.envelope_window")  # None: the default
+    ])
+    def test_an_invalid_setting_raises_invalid_parameter_naming_it(self, make, name, value):
+        with pytest.raises(InvalidParameter) as err:
+            make(value)
+        assert err.value.fields == (name,)
+
+    @pytest.mark.parametrize("label", SETTINGS)
+    def test_each_setting_of_the_table_accepts_a_value_at_its_edge(self, label):
+        make, _, valid, _ = SETTINGS[label]
+        make(valid)
+
+    @pytest.mark.parametrize("make,field,kind", [
+        (lambda: ToneSpec(10**9).frequency, "frequency", float),
+        (lambda: ToneSpec(10**9, np.float32(2.0)).amplitude, "amplitude", float),
+        (lambda: PipelineConfig(seed=np.int64(7)).seed, "seed", int),
+        (lambda: PipelineConfig(n_samples=np.int32(64)).n_samples, "n_samples", int),
+        (lambda: PipelineConfig(sample_rate=10**10).sample_rate, "sample_rate", float),
+        (lambda: PipelineConfig(gain=np.float64(5.0)).gain, "gain", float),
+        (lambda: PipelineConfig(gaussian_sigma=1).gaussian_sigma, "gaussian_sigma", float),
+        (lambda: TriggerConfig(envelope_window=np.uint8(9)).envelope_window, "window", int),
+        (lambda: FilterSpec(np.int64(2), 1710, 1785).band_high, "band_high", float),
+        (lambda: SignalBuffer([1.0], np.float32(1e9)).sample_rate, "sample_rate", float),
+    ])
+    def test_a_setting_is_stored_as_the_check_coerced_it(self, make, field, kind):
+        assert type(make()) is kind
 
     @pytest.mark.parametrize("seed", [MAX_SEED, MAX_SEED + 1, 2**70])
     def test_a_seed_that_would_alias_a_smaller_one_is_rejected(self, seed):
@@ -257,47 +335,21 @@ class TestTypedConfigErrors:
         with pytest.raises(InvalidParameter):
             NoiseSpec(seed=MAX_SEED + 1)
 
-    @pytest.mark.parametrize("field", ["threshold", "high_level"])
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
-    def test_a_non_finite_trigger_level_raises_invalid_parameter_naming_it(self, field, value):
-        # An infinite high level would reach 0 * inf in the comparator of a gated run.
-        with pytest.raises(InvalidParameter, match=f"{field} must be finite") as err:
-            TriggerConfig(**{field: value})
+    @pytest.mark.parametrize("make,field", [
+        (lambda: Scenario("s", tones=None), "tones"),
+        (lambda: Scenario("s", tones=[1]), "tones"),
+        (lambda: Scenario("s", tones=ToneSpec(1e9)), "tones"),
+        (lambda: Scenario("", tones=()), "name"),
+        (lambda: Scenario(None, tones=()), "name"),
+        (lambda: SignalBuffer(["x"], 10e9), "samples"),
+        (lambda: SignalBuffer([[1.0], [2.0, 3.0]], 10e9), "samples"),
+        (lambda: SignalBuffer([1.0, float("nan")], 10e9), "samples"),
+    ], ids=["tones-None", "tones-int", "tones-ToneSpec", "name-empty", "name-None",
+            "samples-str", "samples-ragged", "samples-nan"])
+    def test_a_constructor_names_the_argument_of_a_wrong_type(self, make, field):
+        with pytest.raises(InvalidParameter) as err:
+            make()
         assert err.value.fields == (field,)
-
-
-STREAMS = {
-    "raw_stream": raw_stream,
-    "uniform_stream": uniform_stream,
-    "gaussian_stream": lambda seed, count, start: gaussian_stream(1.0, seed, count, start),
-    "rayleigh_stream": lambda seed, count, start: rayleigh_stream(1.0, seed, count, start),
-}
-
-
-@pytest.mark.parametrize("args,field", [
-    ((MAX_SEED + 1, 8, 0), "seed"),  # would alias seed 0
-    ((-1, 8, 0), "seed"),  # would alias seed MAX_SEED
-    ((2.5, 8, 0), "seed"),
-    ((1, 2.5, 0), "count"),
-    ((1, 8, 2.5), "start"),
-    ((1, "8", 0), "count"),
-], ids=["seed-2**64", "seed--1", "seed-float", "count-float", "start-float", "count-str"])
-@pytest.mark.parametrize("draw", STREAMS.values(), ids=STREAMS.keys())
-def test_a_noise_draw_rejects_a_seed_or_span_naming_it(draw, args, field):
-    with pytest.raises(InvalidParameter) as err:
-        draw(*args)
-    assert err.value.fields == (field,)
-
-
-@pytest.mark.parametrize("count", [-1, -3])
-@pytest.mark.parametrize("draw", [
-    lambda n: gaussian_stream(1.0, 7, n),
-    lambda n: rayleigh_stream(1.0, 7, n),
-    lambda n: multi_tone([], 10e9, n),
-], ids=["gaussian_stream", "rayleigh_stream", "multi_tone"])
-def test_negative_length_raises_invalid_parameter(draw, count):
-    with pytest.raises(InvalidParameter):
-        draw(count)
 
 
 _KEYS = ["name", "freq_mhz", "amplitude_v", "phase_rad", "sample_rate_hz", "n_samples", "seed",
