@@ -34,8 +34,7 @@ class JammerConfig:
     noise: NoiseSpec = NoiseSpec(DEFAULT_NOISE_SIGMA, DEFAULT_NOISE_SIGMA, DEFAULT_SEED)
 
     def __post_init__(self):
-        # gain >= 1 so the stage never attenuates; gain == 1 is the
-        # degenerate identity configuration used for calibration.
+        # gain >= 1: the stage never attenuates (gain 1 is the identity, for calibration)
         check_field(self, "gain", 1.0, MAX_TOTAL_AMPLITUDE)
 
 

@@ -117,11 +117,12 @@ class SignalBuffer:
     sample_rate: float
 
     def __post_init__(self):
-        check_field(self, "sample_rate", 0.0, above=True)
+        rate = check_number(self.sample_rate, "sample_rate", 0.0, above=True)
         arr = _as_readonly_f64(self.samples, "samples")
         if arr.size and not np.isfinite(arr).all():
             raise InvalidParameter("samples must all be finite", "samples")
         object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.size

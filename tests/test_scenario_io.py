@@ -11,7 +11,7 @@ from jamsim.cli import run_cli
 from jamsim.errors import InvalidParameter, ParseError
 from jamsim.filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from jamsim.jammer import JammerConfig
-from jamsim.pipeline import build_pipeline, run_scenario
+from jamsim.pipeline import PipelineConfig, Scenario, build_pipeline, run_scenario
 from jamsim.scenario_io import (
     parse_scenario_file,
     render_scenario_file,
@@ -205,6 +205,18 @@ class TestRoundTrip:
 
     def test_default_config_round_trips(self):
         scenario, config = parse_scenario_file("[tones]\nfreq_mhz = 1200\n")
+        scenario2, config2 = parse_scenario_file(render_scenario_file(scenario, config))
+        assert scenario2 == scenario
+        assert config2 == config
+
+    def test_numpy_scalar_settings_round_trip(self):
+        # Stored coerced, numpy scalars render as plain numbers, not as "np.float64(4.5)".
+        scenario = Scenario("np", (ToneSpec(np.float64(1.2e9), np.float32(1.5)),))
+        config = PipelineConfig(sample_rate=np.float64(11e9), n_samples=np.int64(2048),
+                                seed=np.uint32(7), gain=np.float64(4.5),
+                                gaussian_sigma=np.float64(0.75), rayleigh_sigma=np.int8(1),
+                                trigger=TriggerConfig(np.float64(1.1), np.float64(6.0),
+                                                      np.int64(7)))
         scenario2, config2 = parse_scenario_file(render_scenario_file(scenario, config))
         assert scenario2 == scenario
         assert config2 == config
