@@ -10,10 +10,11 @@ Commands::
 `run` writes jammer1/jammer2/trigger1/trigger2 time series, the input
 spectrum and a JSON manifest into DIR, atomically: the directory is
 either complete or untouched.  An existing DIR is replaced only if it is
-empty or holds a jamsim manifest.json, and an existing `response` FILE
-only if its first line is the response CSV header.  The JAMSIM_SEED
-environment variable overrides the default seed; an explicit [sim] seed
-or --seed flag wins over it.
+empty or holds nothing but a run's files, a jamsim manifest.json among
+them, and an existing `response` FILE only if its first line is the
+response CSV header; the check runs again just before the replacement.
+The JAMSIM_SEED environment variable overrides the default seed; an
+explicit [sim] seed or --seed flag wins over it.
 
 Exit codes: 0 ok; 1 for any invalid input or usage, an `InvalidParameter`
 (a `ParseError` also names its scenario-file line); 2 for a failed
@@ -47,7 +48,8 @@ from .pipeline import (
     builtin_scenarios,
     run_scenario,
 )
-from .scenario_io import _write_csv, parse_scenario_file, write_spectrum_csv, write_timeseries_csv
+from .scenario_io import (RESPONSE_HEADER, _file_values, _write_csv, parse_scenario_file,
+                          write_spectrum_csv, write_timeseries_csv)
 from .signal_core import DEFAULT_SAMPLE_RATE, DEFAULT_SEED, check_number
 
 SEED_ENV_VAR = "JAMSIM_SEED"
@@ -62,7 +64,6 @@ _RUN_OUTPUTS = {
     "input_spectrum": "input_spectrum.csv",
     "manifest": "manifest.json",
 }
-_RESPONSE_HEADER = "freq_hz,magnitude_db,phase_rad"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,40 +125,23 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
 
 def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport,
               reproducible: bool) -> dict:
-    def noise_echo(jcfg):
-        return {
-            "gain": jcfg.gain,
-            "gaussian_sigma_v": jcfg.noise.gaussian_sigma,
-            "rayleigh_sigma_v": jcfg.noise.rayleigh_sigma,
-            "seed": jcfg.noise.seed,
-        }
-
+    """The run's settings under their scenario-file keys, then what it wrote and measured."""
     created = REPRODUCIBLE_TIMESTAMP if reproducible else (
         datetime.now(timezone.utc).isoformat(timespec="seconds"))
+    sim, jammer = _file_values(config, "sim"), _file_values(config, "jammer")
     return {
         "tool": "jamsim",
         "version": __version__,
         "created_at": created,
-        "seed": config.seed,
-        "scenario": {
-            "name": scenario.name,
-            "tones": [
-                {"freq_mhz": t.frequency / 1e6, "amplitude_v": t.amplitude, "phase_rad": t.phase}
-                for t in scenario.tones
-            ],
-        },
+        "seed": sim.pop("seed"),  # taken out before config echoes the other [sim] keys
+        "scenario": {"name": scenario.name,
+                     "tones": [_file_values(tone, "tones") for tone in scenario.tones]},
         "config": {
-            "sample_rate_hz": config.sample_rate,
-            "n_samples": config.n_samples,
-            "filter_order": config.filter_order,
+            **sim,
             "measure_skip_fraction": config.measure_skip_fraction,
-            "trigger": {
-                "threshold_v": config.trigger.threshold,
-                "high_v": config.trigger.high_level,
-                "envelope_window": config.trigger.envelope_window,
-            },
-            "jammer3": noise_echo(config.jammer3),
-            "jammer40": noise_echo(config.jammer40),
+            "trigger": _file_values(config.trigger, "trigger"),
+            "jammer3": {**jammer, "seed": config.jammer3.noise.seed},
+            "jammer40": {**jammer, "seed": config.jammer40.noise.seed},
         },
         "outputs": {k: v for k, v in _RUN_OUTPUTS.items() if k != "manifest"},
         "results": {
@@ -173,10 +157,12 @@ def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport
 
 
 def _is_jamsim_output(path: str) -> bool:
-    """True if `path` is a directory that is empty or holds a jamsim manifest."""
+    """True if `path` is a directory that is empty, or holds a jamsim manifest and nothing
+    but the files a run writes."""
     try:
-        if not os.listdir(path):
-            return True
+        entries = set(os.listdir(path))
+        if not entries or not entries <= set(_RUN_OUTPUTS.values()):
+            return not entries  # empty, or holding a file no run writes
         with open(os.path.join(path, _RUN_OUTPUTS["manifest"]), "r", encoding="utf-8") as fh:
             return json.load(fh).get("tool") == "jamsim"
     except (OSError, ValueError, AttributeError):  # AttributeError: JSON but not an object
@@ -187,61 +173,58 @@ def _is_response_csv(path: str) -> bool:
     """True if `path` is a file whose first line is the `response` CSV header."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.readline(len(_RESPONSE_HEADER) + 1) == _RESPONSE_HEADER + "\n"
+            return fh.readline(len(RESPONSE_HEADER) + 1) == RESPONSE_HEADER + "\n"
     except (OSError, ValueError):  # ValueError: not UTF-8
         return False
 
 
-def _refuse_foreign(path: str, is_ours, what: str) -> None:
-    """InvalidParameter if `path` exists and `is_ours` says jamsim did not write it."""
-    if os.path.lexists(path) and not is_ours(path):
-        raise InvalidParameter(f"--out {path} exists and is not a jamsim {what}; "
-                               "refusing to replace it")
-
-
 @contextlib.contextmanager
-def _atomic_output(target: str):
+def _atomic_output(target: str, is_ours, what: str):
     """Yield a path to write a file or directory at; on success, move it onto `target`.
 
-    A replaced directory is moved aside until the new one is in place.
+    An existing `target` that `is_ours` rejects is refused, on entry and again just before
+    the move; a replaced directory is moved aside until the new one is in place.
     """
-    target = os.path.abspath(target)
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=os.path.dirname(target))
+    def refuse_foreign():
+        if os.path.lexists(target) and not is_ours(target):
+            raise InvalidParameter(f"--out {target} exists and is not a jamsim {what}; "
+                                   "refusing to replace it")
+
+    refuse_foreign()
+    path = os.path.abspath(target)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=os.path.dirname(path))
     staged = os.path.join(tmp, "new")
     try:
         yield staged
-        if os.path.isdir(staged) and os.path.lexists(target):
+        refuse_foreign()
+        if os.path.isdir(staged) and os.path.lexists(path):
             old = os.path.join(tmp, "old")
-            os.rename(target, old)
+            os.rename(path, old)
             try:
-                os.rename(staged, target)
+                os.rename(staged, path)
             except OSError:
-                os.rename(old, target)
+                os.rename(old, path)
                 raise
         else:
-            os.replace(staged, target)
+            os.replace(staged, path)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _cmd_run(args) -> int:
     scenario, config = _resolve_run(args)
-    _refuse_foreign(args.out, _is_jamsim_output, "output directory")
-    report = run_scenario(build_pipeline(config), scenario)
-    manifest = _manifest(scenario, config, report, args.reproducible)
-    try:
-        manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:  # inf or nan, which strict JSON parsers reject
-        raise JamSimError(f"manifest not written: {exc}") from None
-    with _atomic_output(args.out) as out_dir:
+    with _atomic_output(args.out, _is_jamsim_output, "output directory") as out_dir:
+        report = run_scenario(build_pipeline(config), scenario)
+        manifest = _manifest(scenario, config, report, args.reproducible)
+        try:
+            manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:  # inf or nan, which strict JSON parsers reject
+            raise JamSimError(f"manifest not written: {exc}") from None
         os.mkdir(out_dir)
-        for name in ("jammer1", "jammer2"):
-            write_timeseries_csv(report.branch_buffers[name],
-                                 os.path.join(out_dir, _RUN_OUTPUTS[name]))
-        for name in ("trigger1", "trigger2"):
-            write_timeseries_csv(report.gates[name].to_buffer(),
-                                 os.path.join(out_dir, _RUN_OUTPUTS[name]))
+        series = {**report.branch_buffers, **report.gates}
+        for name in ("jammer1", "jammer2", "trigger1", "trigger2"):
+            write_timeseries_csv(series[name], os.path.join(out_dir, _RUN_OUTPUTS[name]))
         write_spectrum_csv(power_spectrum(report.branch_buffers["input"]),
                            os.path.join(out_dir, _RUN_OUTPUTS["input_spectrum"]))
         with open(os.path.join(out_dir, _RUN_OUTPUTS["manifest"]), "w",
@@ -261,12 +244,11 @@ def _cmd_scenarios() -> int:
 
 def _cmd_response(args) -> int:
     k = check_number(args.filter, "--filter", 1, len(BAND_FILTER_SPECS), integer=True)
-    _refuse_foreign(args.out, _is_response_csv, "response CSV")
     stages = design_bandpass(BAND_FILTER_SPECS[k - 1], DEFAULT_SAMPLE_RATE)
     freqs = np.linspace(0.0, stages.sample_rate / 2.0, 2049)
     mag_db, phase = frequency_response(stages, freqs)
-    with _atomic_output(args.out) as path:
-        _write_csv(path, _RESPONSE_HEADER, freqs, mag_db, phase)
+    with _atomic_output(args.out, _is_response_csv, "response CSV") as path:
+        _write_csv(path, RESPONSE_HEADER, freqs, mag_db, phase)
     return 0
 
 

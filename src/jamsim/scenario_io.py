@@ -55,6 +55,9 @@ _SECTION_KEYS = {
                 "envelope_window": "envelope_window"},
 }
 _INT_KEYS = {"n_samples", "seed", "filter_order", "envelope_window"}
+#: The [tones] key that starts a tone, and each field a file gives in other units.
+_TONE_KEY = next(iter(_SECTION_KEYS["tones"]))
+_SCALE = {"frequency": 1e6}  # file value * scale = field value
 
 
 def _parse_number(key: str, value: str, line: int) -> float | int:
@@ -81,7 +84,7 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
     """Parse a scenario document into a fully resolved (Scenario, PipelineConfig)."""
     name = "scenario"
     tones: list[dict[str, float]] = []
-    tone_lines: list[int] = []  # the freq_mhz line of each tone
+    tone_lines: list[int] = []  # the line that starts each tone
     settings: dict[str, dict[str, float | int]] = {"sim": {}, "jammer": {}, "trigger": {}}
     lines: dict[str, int] = {}  # field -> line that last set it
     section: str | None = None
@@ -108,17 +111,17 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
             name = value
             continue
 
-        if section == "tones" and key == "freq_mhz":
+        if section == "tones" and key == _TONE_KEY:
             tones.append({})
             tone_lines.append(lineno)
         elif section == "tones" and not tones:
-            raise ParseError(f"{key} appears before any freq_mhz", lineno)
+            raise ParseError(f"{key} appears before any {_TONE_KEY}", lineno)
         target = tones[-1] if section == "tones" else settings[section]
         field = _SECTION_KEYS[section][key]
         if field in target:
             raise ParseError(f"duplicate key {key!r}", lineno)
         number = _parse_number(key, value, lineno)
-        target[field] = number * 1e6 if key == "freq_mhz" else number
+        target[field] = number * _SCALE[field] if field in _SCALE else number
         lines[field] = lineno
         if section == "tones":  # checked now: the next tone reuses these line slots
             with _blame(lines):
@@ -128,30 +131,38 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
         config = PipelineConfig(**{"seed": default_seed, **settings["sim"], **settings["jammer"]},
                                 trigger=TriggerConfig(**settings["trigger"]))
         scenario = Scenario(name=name, tones=tuple(ToneSpec(**t) for t in tones))
-    for tone, line in zip(scenario.tones, tone_lines):  # blamed on it or on sample_rate_hz
+    for tone, line in zip(scenario.tones, tone_lines):  # blamed on it or on the rate's line
         with _blame({**lines, "frequency": line}):
             check_below_nyquist([tone], config.sample_rate)
     return scenario, config
 
 
+def _file_values(source, section: str) -> dict:
+    """What `source`, a ToneSpec, PipelineConfig or TriggerConfig, holds for file `section`:
+    each setting under its file key and in file units (a tone's frequency in MHz)."""
+    return {key: getattr(source, field) / _SCALE[field] if field in _SCALE
+            else getattr(source, field) for key, field in _SECTION_KEYS[section].items()}
+
+
 def render_scenario_file(scenario: Scenario, config: PipelineConfig) -> str:
     """Serialize back to the file format; every setting round-trips through parse_scenario_file."""
+    def assignments(source, section: str) -> list[str]:
+        return [f"{key} = {value!r}" for key, value in _file_values(source, section).items()
+                if value is not None]
+
     lines = ["[scenario]", f"name = {scenario.name}", "", "[tones]"]
     for tone in scenario.tones:
-        lines.append(f"freq_mhz = {tone.frequency / 1e6!r}")
-        lines.append(f"amplitude_v = {tone.amplitude!r}")
-        lines.append(f"phase_rad = {tone.phase!r}")
+        lines += assignments(tone, "tones")
     for section in ("sim", "jammer", "trigger"):
-        lines += ["", f"[{section}]"]
-        source = config.trigger if section == "trigger" else config
-        for key, field in _SECTION_KEYS[section].items():
-            if getattr(source, field) is not None:
-                lines.append(f"{key} = {getattr(source, field)!r}")
+        lines += ["", f"[{section}]",
+                  *assignments(config.trigger if section == "trigger" else config, section)]
     return "\n".join(lines) + "\n"
 
 
 #: Rows formatted per write, so a long buffer's CSV body is never held whole in memory.
 _CSV_BLOCK_ROWS = 65536
+#: The header of the CSV that `jamsim response` writes.
+RESPONSE_HEADER = "freq_hz,magnitude_db,phase_rad"
 
 
 def _write_csv(path, header: str, *columns) -> None:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .filterbank import LOWEST_PASSBAND_HZ
-from .signal_core import (SignalBuffer, _as_readonly_f64, _in_halves, _Owned, check_field,
-                          check_number)
+from .signal_core import SignalBuffer, _in_halves, _Owned, check_field, check_number
 
 DEFAULT_THRESHOLD = 1.0
 DEFAULT_HIGH_LEVEL = 5.0
@@ -24,6 +23,7 @@ DEFAULT_HIGH_LEVEL = 5.0
 
 def default_envelope_window(sample_rate: float) -> int:
     """Samples covering one period of the slowest in-band frequency."""
+    sample_rate = check_number(sample_rate, "sample_rate", 0.0, above=True)
     return max(1, math.ceil(sample_rate / LOWEST_PASSBAND_HZ))
 
 
@@ -49,24 +49,21 @@ class TriggerConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class GateLine:
+class GateLine(SignalBuffer):
     """Comparator output: every sample exactly 0 or exactly high_level."""
 
-    levels: np.ndarray
-    sample_rate: float
     high_level: float = DEFAULT_HIGH_LEVEL
 
     def __post_init__(self):
-        arr = _as_readonly_f64(self.levels, "levels")
-        if not ((arr == 0.0) | (arr == self.high_level)).all():
-            raise InvalidParameter("gate levels must be exactly 0 or exactly high_level")
-        object.__setattr__(self, "levels", arr)
+        check_field(self, "high_level")
+        super().__post_init__()
+        if not ((self.samples == 0.0) | (self.samples == self.high_level)).all():
+            raise InvalidParameter("gate levels must be exactly 0 or high_level", "samples")
 
-    def __len__(self) -> int:
-        return self.levels.size
-
-    def to_buffer(self) -> SignalBuffer:
-        return SignalBuffer(_Owned(self.levels), self.sample_rate)
+    @property
+    def levels(self) -> np.ndarray:
+        """The gate's samples, by the comparator's name for them."""
+        return self.samples
 
 
 def _trailing_max(env: np.ndarray, spare: np.ndarray, window: int) -> np.ndarray:

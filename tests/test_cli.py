@@ -1,12 +1,15 @@
 import json
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import jamsim.cli as cli
 from jamsim.cli import run_cli
+from jamsim.pipeline import PipelineConfig, builtin_scenarios
+from jamsim.scenario_io import parse_scenario_file
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -87,11 +90,78 @@ class TestRun:
         assert capsys.readouterr().err.startswith("jamsim: error: --out ")
         assert [p.name for p in tmp_path.iterdir()] == ["u"]
 
+    def test_a_file_added_to_an_earlier_output_directory_survives(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "my_notes.txt").write_text("precious\n")
+        assert run_cli(["run", "--builtin", "4", "--out", str(out)]) == 1
+        assert (out / "my_notes.txt").read_text() == "precious\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.name in RUN_FILES} == before
+        assert f"--out {out} exists and is not a jamsim" in capsys.readouterr().err
+
+    def test_a_directory_made_while_the_run_computes_survives(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def make_directory_then_run(*args):
+            (tmp_path / "race").mkdir()
+            (tmp_path / "race" / "user.txt").write_text("mine")
+            return run_scenario(*args)
+
+        run_scenario = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario", make_directory_then_run)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", "--builtin", "4", "--out", "race"]) == 1
+        assert [p.name for p in (tmp_path / "race").iterdir()] == ["user.txt"]
+        assert (tmp_path / "race" / "user.txt").read_text() == "mine"
+        assert capsys.readouterr().err.startswith("jamsim: error: --out race exists ")
+        assert [p.name for p in tmp_path.iterdir()] == ["race"]
+
     def test_regular_file_survives(self, tmp_path):
         target = tmp_path / "f.txt"
         target.write_text("mine")
         assert run_cli(["run", "--builtin", "1", "--out", str(target)]) == 1
         assert target.read_text() == "mine"
+
+
+def scenario_file_from_manifest(manifest: dict) -> str:
+    """A scenario file of the settings the manifest echoes under the file's keys."""
+    config = manifest["config"]
+    sections = {
+        "sim": {**{k: v for k, v in config.items()
+                   if not isinstance(v, dict) and k != "measure_skip_fraction"},
+                "seed": manifest["seed"]},
+        "jammer": {k: v for k, v in config["jammer3"].items() if k != "seed"},
+        "trigger": {k: v for k, v in config["trigger"].items() if v is not None},
+    }
+    lines = ["[scenario]", f"name = {manifest['scenario']['name']}", "[tones]"]
+    for tone in manifest["scenario"]["tones"]:  # freq_mhz starts a tone
+        lines += [f"{k} = {v!r}" for k, v in {"freq_mhz": tone["freq_mhz"], **tone}.items()]
+    for section, values in sections.items():
+        lines += [f"[{section}]", *(f"{k} = {v!r}" for k, v in values.items())]
+    return "\n".join(lines) + "\n"
+
+
+class TestManifestEcho:
+    """The manifest echoes every setting of the run under its scenario-file key."""
+
+    FLAGS = {"seed": 7, "sample_rate": 9e9, "n_samples": 2048}
+
+    @pytest.mark.parametrize("source", [f"builtin{i}" for i in range(1, 5)]
+                             + [f"input{i}.scn" for i in range(1, 5)])
+    def test_the_echo_is_a_scenario_file_of_the_run(self, tmp_path, source):
+        if source.startswith("builtin"):
+            argv = ["--builtin", source[-1]]
+            scenario, config = builtin_scenarios()[int(source[-1]) - 1], PipelineConfig()
+        else:
+            argv = [str(SCENARIO_DIR / source)]
+            scenario, config = parse_scenario_file((SCENARIO_DIR / source).read_text())
+        out = tmp_path / "d"
+        assert run_cli(["run", *argv, "--out", str(out), "--seed", "7", "--fs", "9e9",
+                        "--samples", "2048"]) == 0
+        manifest = read_manifest(out)
+        assert manifest["config"]["jammer40"] == {**manifest["config"]["jammer3"], "seed": 8}
+        echoed = parse_scenario_file(scenario_file_from_manifest(manifest))
+        assert echoed == (scenario, replace(config, **self.FLAGS))
 
 
 class TestSeedResolution:

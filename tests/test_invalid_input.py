@@ -17,7 +17,7 @@ from jamsim.pipeline import MAX_TOTAL_AMPLITUDE, PipelineConfig, Scenario
 from jamsim.rng import gaussian_stream, raw_stream, rayleigh_stream, uniform_stream
 from jamsim.scenario_io import parse_scenario_file
 from jamsim.signal_core import MAX_SEED, NoiseSpec, SignalBuffer, ToneSpec, multi_tone
-from jamsim.trigger import TriggerConfig, envelope
+from jamsim.trigger import GateLine, TriggerConfig, default_envelope_window, envelope
 
 TONE = "[tones]\nfreq_mhz = 1747.5\n"
 
@@ -268,6 +268,10 @@ SETTINGS = {
                                  1.0, (0.0,)),
     "SignalBuffer.sample_rate": (lambda v: SignalBuffer([1.0], v), "sample_rate", 1.0,
                                  (0.0, -1.0)),
+    "GateLine.sample_rate": (lambda v: GateLine([0.0], v), "sample_rate", 1.0, (0.0, -1.0)),
+    "GateLine.high_level": (lambda v: GateLine([0.0], 1e9, v), "high_level", -1.0, ()),
+    "default_envelope_window.sample_rate": (default_envelope_window, "sample_rate", 1.0,
+                                            (0.0, -1.0)),
     "multi_tone.sample_rate": (lambda v: multi_tone([], v, 4), "sample_rate", 1.0, (0.0,)),
     "multi_tone.n_samples": (lambda v: multi_tone([], 10e9, v), "n_samples", 0, (-1,)),
     "envelope.window": (lambda v: envelope(BUFFER, v), "window", 10**29, (0,)),
@@ -359,8 +363,10 @@ class TestTypedConfigErrors:
         (lambda: SignalBuffer(["x"], 10e9), "samples"),
         (lambda: SignalBuffer([[1.0], [2.0, 3.0]], 10e9), "samples"),
         (lambda: SignalBuffer([1.0, float("nan")], 10e9), "samples"),
+        (lambda: GateLine(["x"], 10e9), "samples"),
+        (lambda: GateLine([0.0, 2.5], 10e9), "samples"),
     ], ids=["tones-None", "tones-int", "tones-ToneSpec", "name-empty", "name-None",
-            "samples-str", "samples-ragged", "samples-nan"])
+            "samples-str", "samples-ragged", "samples-nan", "gate-str", "gate-not-binary"])
     def test_a_constructor_names_the_argument_of_a_wrong_type(self, make, field):
         with pytest.raises(InvalidParameter) as err:
             make()
