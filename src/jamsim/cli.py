@@ -158,11 +158,11 @@ def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport
 
 def _is_jamsim_output(path: str) -> bool:
     """True if `path` is a directory that is empty, or holds a jamsim manifest and nothing
-    but the files a run writes."""
+    but the files a run writes (no directory, even under such a file's name)."""
     try:
-        entries = set(os.listdir(path))
-        if not entries or not entries <= set(_RUN_OUTPUTS.values()):
-            return not entries  # empty, or holding a file no run writes
+        entries = list(os.scandir(path))
+        if not entries or any(e.is_dir() or e.name not in _RUN_OUTPUTS.values() for e in entries):
+            return not entries  # empty, or holding something no run writes
         with open(os.path.join(path, _RUN_OUTPUTS["manifest"]), "r", encoding="utf-8") as fh:
             return json.load(fh).get("tool") == "jamsim"
     except (OSError, ValueError, AttributeError):  # AttributeError: JSON but not an object

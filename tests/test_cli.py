@@ -100,6 +100,15 @@ class TestRun:
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.name in RUN_FILES} == before
         assert f"--out {out} exists and is not a jamsim" in capsys.readouterr().err
 
+    def test_a_directory_named_like_an_output_file_survives(self, tmp_path):
+        out = tmp_path / "d"
+        assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 0
+        (out / "jammer1.csv").unlink()
+        (out / "jammer1.csv").mkdir()
+        (out / "jammer1.csv" / "notes.txt").write_text("precious")
+        assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 1
+        assert (out / "jammer1.csv" / "notes.txt").read_text() == "precious"
+
     def test_a_directory_made_while_the_run_computes_survives(self, tmp_path, monkeypatch,
                                                               capsys):
         def make_directory_then_run(*args):
