@@ -183,7 +183,8 @@ def _atomic_output(target: str, is_ours, what: str):
     """Yield a path to write a file or directory at; on success, move it onto `target`.
 
     An existing `target` that `is_ours` rejects is refused, on entry and again just before
-    the move; a replaced directory is moved aside until the new one is in place.
+    the move; a replaced directory is moved aside until the new one is in place.  If the body
+    raises, the parent directories made for `target` are removed again while they are empty.
     """
     def refuse_foreign():
         if os.path.lexists(target) and not is_ours(target):
@@ -191,7 +192,10 @@ def _atomic_output(target: str, is_ours, what: str):
                                    "refusing to replace it")
 
     refuse_foreign()
-    path = os.path.abspath(target)
+    parent = path = os.path.abspath(target)
+    made = []  # the parents missing now, deepest first
+    while not os.path.isdir(parent := os.path.dirname(parent)):
+        made.append(parent)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=os.path.dirname(path))
     staged = os.path.join(tmp, "new")
@@ -208,8 +212,12 @@ def _atomic_output(target: str, is_ours, what: str):
                 raise
         else:
             os.replace(staged, path)
+        made = []  # in place: the parents stay
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        with contextlib.suppress(OSError):  # a parent not empty, or never made, ends the walk
+            for parent in made:
+                os.rmdir(parent)
 
 
 def _cmd_run(args) -> int:

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, JamSimError
-from .signal_core import (SignalBuffer, _as_readonly_f64, _in_halves, _Owned, check_field,
-                          check_number)
+from .signal_core import (SignalBuffer, _as_readonly_f64, _in_halves, _Owned,
+                          check_below_nyquist, check_field, check_number)
 
 DEFAULT_FILTER_ORDER = 6
 #: Samples per block of the blocked run (a power of two).
@@ -224,13 +224,6 @@ def check_filter_order(order: int) -> int:
     return order
 
 
-def check_band_edge(edge_mhz: float, sample_rate: float) -> None:
-    """InvalidParameter naming sample_rate unless a band edge lies below its Nyquist."""
-    if edge_mhz * 1e6 >= sample_rate / 2.0:
-        raise InvalidParameter(f"band edge {edge_mhz} MHz is not below Nyquist "
-                               f"at fs={sample_rate} Hz", "sample_rate")
-
-
 # At extreme sample rates the design overflows or loses all precision;
 # every such design ends in JamSimError, so numpy's warnings add nothing.
 @np.errstate(all="ignore")
@@ -244,7 +237,8 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     """
     order = check_filter_order(order)
     sample_rate = check_number(sample_rate, "sample_rate", 0.0, above=True)
-    check_band_edge(spec.band_high, sample_rate)
+    check_below_nyquist(spec.band_high * 1e6, sample_rate, f"band edge {spec.band_high} MHz",
+                        "sample_rate")
     f_low, f_high, n = spec.band_low * 1e6, spec.band_high * 1e6, order // 2
 
     # Pre-warp the band edges so the bilinear transform lands the

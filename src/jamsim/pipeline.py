@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .filterbank import (
     _BankPlan,
     _plan_bank,
     _run_bank,
-    check_band_edge,
     check_filter_order,
     design_bandpass,
 )
@@ -49,7 +48,10 @@ from .signal_core import (
     NoiseSpec,
     SignalBuffer,
     ToneSpec,
+    _check_kind,
+    _check_tones,
     _Owned,
+    check_below_nyquist,
     check_field,
     multi_tone,
 )
@@ -80,7 +82,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_field(self, "sample_rate", 0.0, above=True)
-        check_band_edge(max(spec.band_high for spec in BAND_FILTER_SPECS), self.sample_rate)
+        edge = max(spec.band_high for spec in BAND_FILTER_SPECS)
+        check_below_nyquist(edge * 1e6, self.sample_rate, f"band edge {edge} MHz", "sample_rate")
+        _check_kind(self.trigger, "trigger", TriggerConfig)
         check_field(self, "n_samples", 2, MAX_N_SAMPLES, integer=True)
         object.__setattr__(self, "filter_order", check_filter_order(self.filter_order))
         for name, value in {"gain": self.jammer3.gain, **asdict(self.jammer3.noise)}.items():
@@ -121,10 +125,7 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise InvalidParameter(f"name must be a non-empty str, got {self.name!r}", "name")
-        tones = tuple(self.tones) if isinstance(self.tones, Iterable) else None
-        if tones is None or not all(isinstance(tone, ToneSpec) for tone in tones):
-            raise InvalidParameter(f"tones must be ToneSpec values, got {self.tones!r}", "tones")
-        object.__setattr__(self, "tones", tones)
+        object.__setattr__(self, "tones", _check_tones(self.tones))
         total = sum(tone.amplitude for tone in self.tones)
         if not total <= MAX_TOTAL_AMPLITUDE:
             raise InvalidParameter(f"tone amplitudes sum to {total!r} V, above the "

@@ -133,7 +133,8 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
         scenario = Scenario(name=name, tones=tuple(ToneSpec(**t) for t in tones))
     for tone, line in zip(scenario.tones, tone_lines):  # blamed on it or on the rate's line
         with _blame({**lines, "frequency": line}):
-            check_below_nyquist([tone], config.sample_rate)
+            check_below_nyquist(tone.frequency, config.sample_rate, f"tone at {tone.frequency} Hz",
+                                "frequency", "sample_rate")
     return scenario, config
 
 

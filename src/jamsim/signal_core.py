@@ -14,6 +14,7 @@ import math
 import numbers
 import operator
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +120,14 @@ class SignalBuffer:
     def __post_init__(self):
         rate = check_number(self.sample_rate, "sample_rate", 0.0, above=True)
         arr = _as_readonly_f64(self.samples, "samples")
-        if arr.size and not np.isfinite(arr).all():
-            raise InvalidParameter("samples must all be finite", "samples")
+        self._check_samples(arr)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", rate)
+
+    def _check_samples(self, samples: np.ndarray) -> None:
+        """InvalidParameter naming samples unless all are finite (a subclass may allow fewer)."""
+        if samples.size and not np.isfinite(samples).all():
+            raise InvalidParameter("samples must all be finite", "samples")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -165,12 +170,23 @@ class NoiseSpec:
         check_field(self, "seed", 0, MAX_SEED, integer=True)
 
 
-def check_below_nyquist(tones, sample_rate: float) -> None:
-    """InvalidParameter unless every tone lies below sample_rate / 2."""
-    for tone in tones:
-        if tone.frequency >= sample_rate / 2.0:
-            raise InvalidParameter(f"tone at {tone.frequency} Hz is not below Nyquist "
-                                   f"({sample_rate / 2.0} Hz)", "frequency", "sample_rate")
+def _check_kind(value, name: str, kind: type):
+    """`value`; InvalidParameter naming `name` unless it is a `kind`."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{name} must be {kind.__name__}, got {value!r}", name)
+    return value
+
+
+def _check_tones(tones) -> tuple[ToneSpec, ...]:
+    """`tones` as a tuple; InvalidParameter naming tones unless it is an iterable of ToneSpec."""
+    return tuple(_check_kind(t, "tones", ToneSpec) for t in _check_kind(tones, "tones", Iterable))
+
+
+def check_below_nyquist(frequency: float, sample_rate: float, what: str, *fields: str) -> None:
+    """InvalidParameter naming `fields` unless `frequency` in Hz, a tone's or a band edge's,
+    lies below sample_rate / 2; the message calls it `what`."""
+    if frequency >= sample_rate / 2.0:
+        raise InvalidParameter(f"{what} is not below Nyquist ({sample_rate / 2.0} Hz)", *fields)
 
 
 def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
@@ -183,7 +199,10 @@ def multi_tone(tones, sample_rate: float, n_samples: int) -> SignalBuffer:
     """
     sample_rate = check_number(sample_rate, "sample_rate", 0.0, above=True)
     n_samples = check_number(n_samples, "n_samples", 0, MAX_N_SAMPLES, integer=True)
-    check_below_nyquist(tones, sample_rate)
+    tones = _check_tones(tones)
+    for tone in tones:
+        check_below_nyquist(tone.frequency, sample_rate, f"tone at {tone.frequency} Hz",
+                            "frequency", "sample_rate")
     acc, scratch = np.empty(n_samples), np.empty((2, 2, min(n_samples, _BLOCK)))
     ramp = np.arange(min(n_samples, _BLOCK), dtype=np.float64)
 

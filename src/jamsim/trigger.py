@@ -54,10 +54,10 @@ class GateLine(SignalBuffer):
 
     high_level: float = DEFAULT_HIGH_LEVEL
 
-    def __post_init__(self):
+    def _check_samples(self, samples: np.ndarray) -> None:
+        """Check high_level, then in one pass that each sample is 0 or high_level, so finite."""
         check_field(self, "high_level")
-        super().__post_init__()
-        if not ((self.samples == 0.0) | (self.samples == self.high_level)).all():
+        if not ((samples == 0.0) | (samples == self.high_level)).all():
             raise InvalidParameter("gate levels must be exactly 0 or high_level", "samples")
 
     @property

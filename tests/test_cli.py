@@ -289,6 +289,28 @@ class TestAtomicity:
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert after == before
 
+    def test_a_failed_run_removes_the_parents_it_made(self, tmp_path):
+        # The filter design fails at 1e18 S/s (exit 2) after the parents of --out are made.
+        assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "new" / "sub"),
+                        "--fs", "1e18"]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_run_keeps_the_parents_that_were_there(self, tmp_path):
+        (tmp_path / "old").mkdir()
+        assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "old" / "new" / "sub"),
+                        "--fs", "1e18"]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        assert list((tmp_path / "old").iterdir()) == []
+
+    def test_a_parent_that_gains_a_file_during_a_failed_run_stays(self, tmp_path, monkeypatch):
+        def add_file_then_fail(*args):
+            (tmp_path / "new" / "user.txt").write_text("mine")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "run_scenario", add_file_then_fail)
+        assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "new" / "sub")]) == 2
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["user.txt"]
+
 
 class TestScenariosCommand:
     def test_lists_four(self, capsys):

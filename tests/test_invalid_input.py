@@ -365,12 +365,34 @@ class TestTypedConfigErrors:
         (lambda: SignalBuffer([1.0, float("nan")], 10e9), "samples"),
         (lambda: GateLine(["x"], 10e9), "samples"),
         (lambda: GateLine([0.0, 2.5], 10e9), "samples"),
+        (lambda: GateLine([0.0, float("nan")], 10e9), "samples"),
+        (lambda: GateLine([5.0, float("inf")], 10e9), "samples"),
+        (lambda: PipelineConfig(trigger=None), "trigger"),
+        (lambda: JammerConfig(noise=None), "noise"),
+        (lambda: multi_tone([1], 1e9, 4), "tones"),
+        (lambda: multi_tone(None, 1e9, 4), "tones"),
     ], ids=["tones-None", "tones-int", "tones-ToneSpec", "name-empty", "name-None",
-            "samples-str", "samples-ragged", "samples-nan", "gate-str", "gate-not-binary"])
+            "samples-str", "samples-ragged", "samples-nan", "gate-str", "gate-not-binary",
+            "gate-nan", "gate-inf", "trigger-None", "noise-None", "multi_tone-int",
+            "multi_tone-None"])
     def test_a_constructor_names_the_argument_of_a_wrong_type(self, make, field):
         with pytest.raises(InvalidParameter) as err:
             make()
         assert err.value.fields == (field,)
+
+    @pytest.mark.parametrize("make,prefix,fields", [
+        (lambda: multi_tone([ToneSpec(6e9)], 10e9, 4),
+         "tone at 6000000000.0 Hz is not below Nyquist (5000000000.0 Hz)",
+         ("frequency", "sample_rate")),
+        (lambda: design_bandpass(BAND_FILTER_SPECS[3], 4e9),
+         "band edge 2405.0 MHz is not below Nyquist", ("sample_rate",)),
+        (lambda: PipelineConfig(sample_rate=4e9),
+         "band edge 2405.0 MHz is not below Nyquist", ("sample_rate",)),
+    ], ids=["tone", "band-edge-design", "band-edge-config"])
+    def test_a_nyquist_message_keeps_its_prefix(self, make, prefix, fields):
+        with pytest.raises(InvalidParameter) as err:
+            make()
+        assert str(err.value).startswith(prefix) and err.value.fields == fields
 
 
 _KEYS = ["name", "freq_mhz", "amplitude_v", "phase_rad", "sample_rate_hz", "n_samples", "seed",

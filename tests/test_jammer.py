@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jamsim import rng
 from jamsim.errors import InvalidParameter
 from jamsim.jammer import JammerConfig, jam
 from jamsim.rng import gaussian_stream, rayleigh_stream
-from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec, multi_tone
+from jamsim.signal_core import _BLOCK, NoiseSpec, SignalBuffer, ToneSpec, multi_tone
 from jamsim.trigger import GateLine
 
 FS = 10e9
@@ -134,6 +135,51 @@ class TestGatedSpanMatchesWholeBuffer:
         cfg = JammerConfig(gain=3.0, noise=NoiseSpec(1.0, 1.0, seed=seed))
         assert jam(signal, gate, cfg).samples.tobytes() == \
             whole_buffer_jam(signal, gate, cfg).tobytes()
+
+
+class TestBlocks:
+    """jam draws noise only in the blocks of `_BLOCK` samples that its gate opens."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(stream, start, count) of every noise draw that jam makes."""
+        calls = []
+        for name in ("gaussian_stream", "rayleigh_stream"):
+            def record(sigma, seed, count, start=0, name=name, stream=getattr(rng, name)):
+                calls.append((name, start, count))
+                return stream(sigma, seed, count, start)
+            monkeypatch.setattr(rng, name, record)
+        return calls
+
+    def run(self, levels):
+        signal = SignalBuffer(np.random.default_rng(5).normal(size=levels.size), FS)
+        gate, cfg = GateLine(levels, FS), JammerConfig(gain=3.0, noise=NoiseSpec(1.0, 0.5, 7))
+        out = jam(signal, gate, cfg)
+        assert out.samples.tobytes() == whole_buffer_jam(signal, gate, cfg).tobytes()
+
+    def test_a_gate_high_only_in_its_last_block_draws_only_there(self, draws):
+        n = 3 * _BLOCK + 100
+        self.run(_levels(n, (3 * _BLOCK + 10, 3 * _BLOCK + 50)))
+        assert draws == [("gaussian_stream", 3 * _BLOCK, 100),
+                         ("rayleigh_stream", 3 * _BLOCK, 100)]
+
+    def test_an_idle_gate_draws_nothing(self, draws):
+        self.run(_levels(3 * _BLOCK + 100))
+        assert draws == []
+
+    def test_split_halves_draw_only_the_blocks_their_gate_opens(self, draws):
+        n, mid = 2**17 + 5, (2**17 + 5) // 2  # the helper thread takes [mid, n)
+        levels = _levels(n, (100, 200), (mid - 8, mid + 7), (n - 4, n))
+        self.run(levels)
+        spans = sorted((start, start + count) for name, start, count in draws
+                       if name == "gaussian_stream")
+        assert spans == sorted((start, start + count) for name, start, count in draws
+                               if name == "rayleigh_stream")
+        assert all(levels[a:b].any() and b - a <= _BLOCK for a, b in spans)
+        assert all(b <= c for (_, b), (c, _) in zip(spans, spans[1:]))  # no sample drawn twice
+        high = np.flatnonzero(levels)
+        assert all(any(a <= i < b for a, b in spans) for i in high)
+        assert not any(a < mid < b for a, b in spans)  # no block crosses the split
 
 
 class TestValidation:
