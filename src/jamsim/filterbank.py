@@ -237,9 +237,8 @@ def design_bandpass(spec: FilterSpec, sample_rate: float,
     """
     order = check_filter_order(order)
     sample_rate = check_number(sample_rate, "sample_rate", 0.0, above=True)
-    check_below_nyquist(spec.band_high * 1e6, sample_rate, f"band edge {spec.band_high} MHz",
-                        "sample_rate")
     f_low, f_high, n = spec.band_low * 1e6, spec.band_high * 1e6, order // 2
+    check_below_nyquist(f_high, sample_rate, f"band edge {spec.band_high} MHz", "sample_rate")
 
     # Pre-warp the band edges so the bilinear transform lands the
     # analog -3 dB points exactly on the requested digital edges.
