@@ -13,7 +13,6 @@ from .filterbank import (
     FilterSpec,
     FilterStages,
     apply_filter,
-    apply_filters,
     design_bandpass,
     frequency_response,
 )

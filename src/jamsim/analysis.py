@@ -37,13 +37,15 @@ def power_spectrum(signal: SignalBuffer) -> Spectrum:
     """Magnitude-squared DFT of the raw (rectangular-windowed) buffer.
 
     Normalized so the per-bin powers sum to the signal's mean square
-    (Parseval); interior bins carry the doubled one-sided weight.
+    (Parseval); interior bins carry the doubled one-sided weight.  A bin
+    whose square overflows is inf dB, without a warning.
     """
     n = len(signal)
     if n < 2:
         raise InvalidParameter(f"power_spectrum needs at least 2 samples, got {n}")
     spec = np.fft.rfft(signal.samples)
-    power = np.abs(spec) ** 2 / float(n) ** 2
+    with np.errstate(over="ignore"):
+        power = np.abs(spec) ** 2 / float(n) ** 2
     # Fold the negative-frequency half into the interior bins.
     power[1:] *= 2.0
     if n % 2 == 0:

@@ -19,18 +19,17 @@ state follows from ``s_k = A^L s_(k-1) + e_k``, where ``e_k`` is what
 block k alone leaves in the state; a doubling scan (Blelloch 1990,
 "Prefix sums and their applications"; Martin & Cundy 2018,
 "Parallelizing linear recurrent neural nets over sequence length")
-solves it in log2(blocks) matrix products.  `FilterStages` builds these
-matrices once, at design time.  `apply_filters` runs a bank of one order in
-three passes, one stacked product per piece and scan step for the whole bank,
-each small enough for its calling thread alone and cut on one grid fixed from
-block 0: the buffer is zero-padded to whole groups of `BLOCK_LEN` blocks.  Long
-buffers split the end states and outputs on grid lines, and the scans by filter,
-over two threads, so on any BLAS kernel a split run makes the calls, and gives
-the bytes, of a run on one thread (a fixed reduction order, as in Demmel &
-Nguyen 2015, "Parallel reproducible summation").  The passes run from a
-read-only plan of the bank: its filters in the order given, their matrices
-stacked and their scan steps zero-padded to the longest filter's.  A `Pipeline`
-plans its filters once; `apply_filters` plans on each call.
+solves it in log2(blocks) matrix products.  Each `FilterStages` builds these
+matrices once, at design time, as its own read-only plan; a plan of several
+filters of one order stacks theirs, each filter's scan steps zero-padded to the
+longest filter's, and a `Pipeline` plans its filters 2-4 once that way.  A plan
+runs in three passes, one stacked product per piece and scan step for all its
+filters, each small enough for its calling thread alone and cut on one grid fixed
+from block 0: the buffer is zero-padded to whole groups of `BLOCK_LEN` blocks.
+Long buffers split the end states and outputs on grid lines, and the scans by
+filter, over two threads, so on any BLAS kernel a split run makes the calls, and
+gives the bytes, of a run on one thread (a fixed reduction order, as in Demmel &
+Nguyen 2015, "Parallel reproducible summation").
 """
 
 from __future__ import annotations
@@ -90,25 +89,39 @@ LOWEST_PASSBAND_HZ = min(s.band_low for s in BAND_FILTER_SPECS) * 1e6
 
 
 @dataclass(frozen=True, eq=False)
+class _BankPlan:
+    """The blocked run's matrices of one or more filters of one order and `sample_rate`, in
+    the order given, stacked read-only: ``steps[f]`` is filter f's scan steps, then zeros up
+    to the longest filter's."""
+
+    sample_rate: float
+    #: (n_bank, n_states, BLOCK_LEN) columns ``A^(L-1-j) B``: a block's input to its end state.
+    state_in: np.ndarray
+    #: (n_bank, 1, BLOCK_LEN, BLOCK_LEN) C-contiguous transposed Toeplitz of the impulse response.
+    toeplitz_t: np.ndarray
+    #: (n_bank, BLOCK_LEN, n_states) rows ``C A^t``: a block's start state to its output.
+    state_out: np.ndarray
+    #: (n_bank, n_steps, n_states, n_states) ``A^L``, ``A^2L``, ``A^4L``, ...: the scan's steps.
+    steps: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.state_in, self.toeplitz_t, self.state_out, self.steps):
+            array.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
 class FilterStages:
     """A realized biquad cascade for one `FilterSpec`.
 
     `sos` is a read-only (n_sections, 6) array, one row
     ``[b0, b1, b2, 1, a1, a2]`` per section (scipy's sosfilt layout).
-    The private fields are the blocked run's matrices, built from `sos`.
+    The private `_plan` holds the blocked run's matrices, built from `sos`.
     """
 
     sos: np.ndarray
     sample_rate: float
     spec: FilterSpec
-    #: (BLOCK_LEN, BLOCK_LEN) lower-triangular Toeplitz of the impulse response.
-    _toeplitz: np.ndarray = field(init=False, repr=False)
-    #: (BLOCK_LEN, n_states) rows ``C A^t``: a block's start state to its output.
-    _state_out: np.ndarray = field(init=False, repr=False)
-    #: (n_states, BLOCK_LEN) columns ``A^(L-1-j) B``: a block's input to its end state.
-    _state_in: np.ndarray = field(init=False, repr=False)
-    #: (n_steps, n_states, n_states) ``A^L``, ``A^2L``, ``A^4L``, ...: the scan's steps.
-    _scan_steps: np.ndarray = field(init=False, repr=False)
+    _plan: _BankPlan = field(init=False, repr=False)
 
     def __post_init__(self):
         check_field(self, "sample_rate", 0.0, above=True)
@@ -127,9 +140,7 @@ class FilterStages:
                                  f"(a1={a1[i]:.17g}, a2={a2[i]:.17g})")
         sos.setflags(write=False)
         object.__setattr__(self, "sos", sos)
-        for name, value in _block_matrices(sos).items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_plan", _BankPlan(self.sample_rate, *_block_matrices(sos)))
 
 
 def _state_space(sos: np.ndarray):
@@ -155,8 +166,8 @@ def _state_space(sos: np.ndarray):
     return a, b, c, d
 
 
-def _block_matrices(sos: np.ndarray) -> dict:
-    """The blocked run's matrices for `FilterStages`, by repeated products.
+def _block_matrices(sos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A one-filter `_BankPlan`'s matrices, from `state_in` to `steps`, by repeated products.
 
     The squares A^(2^i) are formed in long double and rounded once:
     squared in float64, A^(2^i) carries a relative error near
@@ -190,13 +201,9 @@ def _block_matrices(sos: np.ndarray) -> dict:
     steps = squares[log_len:]
     if not steps[-1].any():  # the square that underflowed is no step
         steps = steps[:-1]
-    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
-    return {
-        "_toeplitz": toeplitz,
-        "_state_out": out_rows,
-        "_state_in": np.ascontiguousarray(in_cols[:, ::-1]),
-        "_scan_steps": steps,
-    }
+    toeplitz_t = np.where(lag <= 0, impulse[np.maximum(-lag, 0)], 0.0)
+    return (np.ascontiguousarray(in_cols[None, :, ::-1]), toeplitz_t[None, None],
+            out_rows[None], steps[None])
 
 
 def _pair_into_sections(z_poles: np.ndarray) -> np.ndarray:
@@ -294,53 +301,29 @@ def frequency_response(stages: FilterStages, freqs) -> tuple[np.ndarray, np.ndar
 
 
 def apply_filter(stages: FilterStages, signal: SignalBuffer) -> SignalBuffer:
-    """Run one cascade over a buffer: `apply_filters` with a bank of one."""
-    return apply_filters((stages,), signal)[0]
-
-
-def apply_filters(bank, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
-    """Run every cascade in `bank`, a tuple of `FilterStages`, over one buffer (zero state).
-
-    A bank shares one order.  Its buffers are rows of one array: one kept alone keeps it alive.
-    The bank is planned on each call; a `Pipeline` plans its filters once.
-    """
-    return _run_bank(_plan_bank(bank), signal) if bank else ()
-
-
-@dataclass(frozen=True, eq=False)
-class _BankPlan:
-    """A bank's filters in the order given, and their matrices stacked read-only: ``steps[f]``
-    is filter f's scan steps, then zeros up to the longest filter's."""
-
-    filters: tuple[FilterStages, ...]
-    state_in: np.ndarray
-    toeplitz_t: np.ndarray
-    steps: np.ndarray
+    """Run one cascade over a buffer from a zero state, from the cascade's own plan."""
+    return _run_bank(stages._plan, signal)[0]
 
 
 def _plan_bank(bank) -> _BankPlan:
-    """Stack a non-empty bank's matrices for `_run_bank`; InvalidParameter if it mixes orders."""
-    n_states = 2 * len(bank[0].sos)
-    for stages in bank:
-        if 2 * len(stages.sos) != n_states:
-            raise InvalidParameter(f"a bank mixes orders {n_states} and {2 * len(stages.sos)}")
-    steps = np.zeros((len(bank), max(len(s._scan_steps) for s in bank), n_states, n_states))
-    for f, stages in enumerate(bank):
-        steps[f, :len(stages._scan_steps)] = stages._scan_steps
-    plan = _BankPlan(tuple(bank), np.array([s._state_in for s in bank]),
-                     np.array([s._toeplitz.T for s in bank])[:, None], steps)
-    for array in (plan.state_in, plan.toeplitz_t, plan.steps):
-        array.setflags(write=False)
-    return plan
+    """One plan of filters of one order and sample rate: their own plans stacked in order."""
+    plans = [stages._plan for stages in bank]
+    stacked = [np.concatenate([getattr(plan, name) for plan in plans])
+               for name in ("state_in", "toeplitz_t", "state_out")]
+    n_steps = max(plan.steps.shape[1] for plan in plans)
+    steps = np.zeros((len(plans), n_steps) + plans[0].steps.shape[2:])
+    for f, plan in enumerate(plans):
+        steps[f, :plan.steps.shape[1]] = plan.steps[0]
+    return _BankPlan(plans[0].sample_rate, *stacked, steps)
 
 
 def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]:
-    """`apply_filters` of a planned bank: three passes, halved on grid lines from 2**17 samples."""
+    """Each planned filter over one buffer from a zero state, as rows of one array: three
+    passes, halved on grid lines from 2**17 samples."""
     x, n, (n_bank, n_states) = signal.samples, signal.samples.size, plan.state_in.shape[:2]
-    for stages in plan.filters:
-        if signal.sample_rate != stages.sample_rate:
-            raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
-                                   f"{stages.sample_rate} Hz")
+    if signal.sample_rate != plan.sample_rate:
+        raise InvalidParameter(f"buffer at {signal.sample_rate} Hz vs filter designed for "
+                               f"{plan.sample_rate} Hz")
     # Zero-padded to whole groups: zeros after the end change no earlier output of a causal filter.
     n_blocks = -(-n // _GROUP_LEN) * BLOCK_LEN
     if n_blocks * BLOCK_LEN > n:
@@ -379,9 +362,9 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
             groups = ((b - a) // BLOCK_LEN, BLOCK_LEN, BLOCK_LEN)
             np.matmul(blocks[a:b].reshape(groups), plan.toeplitz_t,
                       out=out[:, a:b].reshape((n_bank,) + groups))
-            for stages, st, o in zip(plan.filters, starts, out):
+            for state_out, st, o in zip(plan.state_out, starts, out):
                 term = scratch[half, :(b - a) * BLOCK_LEN].reshape(b - a, BLOCK_LEN)
-                o[a:b] += np.matmul(st[:, a:b].T, stages._state_out.T, out=term)
+                o[a:b] += np.matmul(st[:, a:b].T, state_out.T, out=term)
 
     n_pieces = -(-n_blocks // span)
     _in_halves(end_states, 0, n_pieces, n)  # the thread threshold reads the unpadded length

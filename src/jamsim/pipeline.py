@@ -2,8 +2,8 @@
 
 A `Pipeline` is its `PipelineConfig` plus the four filters designed from
 it in `BAND_FILTER_SPECS` order (``filters[k - 1]`` is filter k), with filters
-2-4 planned once as one read-only bank; `run_scenario` runs the bank from that
-plan and reads the trigger and jammer settings from the config.
+2-4 planned together once, read-only; `run_scenario` runs them from that plan
+and reads the trigger and jammer settings from the config.
 Band 3 is FDD, so detection and jamming use different filters: the
 uplink filter (2) feeds trigger 1 and the downlink filter (3) feeds
 jammer 1.  Band 40 is TDD and shares one allocation, so filter 4 feeds
@@ -162,7 +162,7 @@ class Pipeline:
     _idle: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        cfg = self.config
+        cfg = _check_kind(self.config, "config", PipelineConfig)
         object.__setattr__(self, "filters", tuple(
             design_bandpass(spec, cfg.sample_rate, cfg.filter_order) for spec in BAND_FILTER_SPECS))
         object.__setattr__(self, "_bank", _plan_bank(self.filters[1:]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,12 @@ class TestPowerSpectrum:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidParameter, match="at least 2 samples"):
             power_spectrum(SignalBuffer([1.0], FS))
+
+    def test_an_overflowing_bin_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = power_spectrum(SignalBuffer([1e200, -1e200, 3.0], FS))
+        assert spec.power_db[1] == np.inf
 
 
 class TestRms:

@@ -13,7 +13,8 @@ from jamsim.cli import run_cli
 from jamsim.errors import InvalidParameter, ParseError
 from jamsim.filterbank import BAND_FILTER_SPECS, FilterSpec, FilterStages, design_bandpass
 from jamsim.jammer import JammerConfig
-from jamsim.pipeline import MAX_TOTAL_AMPLITUDE, PipelineConfig, Scenario
+from jamsim.pipeline import (MAX_TOTAL_AMPLITUDE, Pipeline, PipelineConfig, Scenario,
+                             build_pipeline)
 from jamsim.rng import gaussian_stream, raw_stream, rayleigh_stream, uniform_stream
 from jamsim.scenario_io import parse_scenario_file
 from jamsim.signal_core import MAX_SEED, NoiseSpec, SignalBuffer, ToneSpec, multi_tone
@@ -371,10 +372,12 @@ class TestTypedConfigErrors:
         (lambda: JammerConfig(noise=None), "noise"),
         (lambda: multi_tone([1], 1e9, 4), "tones"),
         (lambda: multi_tone(None, 1e9, 4), "tones"),
+        (lambda: Pipeline(None), "config"),
+        (lambda: build_pipeline(None), "config"),
     ], ids=["tones-None", "tones-int", "tones-ToneSpec", "name-empty", "name-None",
             "samples-str", "samples-ragged", "samples-nan", "gate-str", "gate-not-binary",
             "gate-nan", "gate-inf", "trigger-None", "noise-None", "multi_tone-int",
-            "multi_tone-None"])
+            "multi_tone-None", "Pipeline-None", "build_pipeline-None"])
     def test_a_constructor_names_the_argument_of_a_wrong_type(self, make, field):
         with pytest.raises(InvalidParameter) as err:
             make()

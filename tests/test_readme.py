@@ -1,15 +1,21 @@
-"""The README's Library example runs and prints what its comments say.
+"""The README's Library example runs and prints what its comments say,
+and every call the README names in backticks exists.
 
 Each ``print(...)  # value`` line is checked against the line it
 prints: exactly, or within 5 % for a ``# ~number unit`` comment.
 """
 
 import contextlib
+import dataclasses
+import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
+
+import jamsim
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +43,30 @@ def test_library_example_prints_what_it_documents():
             assert float(got) == pytest.approx(float(want[1:].split()[0]), rel=0.05)
         else:
             assert got == want
+
+
+def readme_calls() -> set[str]:
+    """The name of each inline code span that starts ``name(``, outside fenced blocks."""
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    spans = re.findall(r"(`+)(.+?)(?<!`)\1(?!`)", text, flags=re.DOTALL)  # ``a`` or `a`
+    return {m.group(1) for _, span in spans if (m := re.match(r"([A-Za-z_][\w.]*)\(", span))}
+
+
+def resolve(name: str):
+    """`name`, dotted or not, from jamsim, one of its modules, or dataclasses; None if absent."""
+    modules = [jamsim, dataclasses, *(importlib.import_module(f"jamsim.{info.name}")
+                                      for info in pkgutil.iter_modules(jamsim.__path__))]
+    head, *rest = name.split(".")
+    for module in modules:
+        found = getattr(module, head, None)
+        for part in rest:
+            found = getattr(found, part, None)
+        if found is not None:
+            return found
+    return None
+
+
+def test_every_call_the_readme_names_exists():
+    calls = readme_calls()
+    assert {"apply_filter", "replace", "Pipeline"} <= calls
+    assert [name for name in sorted(calls) if not callable(resolve(name))] == []

@@ -19,7 +19,7 @@ from scipy.ndimage import maximum_filter1d
 import jamsim
 from jamsim import filterbank, rng
 from jamsim.analysis import rms
-from jamsim.filterbank import _GROUP_LEN, _PRODUCT_MULADDS, _run_bank
+from jamsim.filterbank import _GROUP_LEN, _PRODUCT_MULADDS, _plan_bank, _run_bank
 from jamsim.pipeline import MEASURE_SKIP_FRACTION
 from jamsim.trigger import TriggerConfig, default_envelope_window
 
@@ -39,6 +39,13 @@ def reference_tones(tones, fs, n):
     return acc
 
 
+def matrices(stages):
+    """A filter's own plan as (state_in, scan steps, C-contiguous Toeplitz, state_out)."""
+    plan = stages._plan
+    return (plan.state_in[0], plan.steps[0], np.ascontiguousarray(plan.toeplitz_t[0, 0].T),
+            plan.state_out[0])
+
+
 def reference_filter(stages, x):
     """apply_filter, serially, with one product per piece of the run's fixed grid.
 
@@ -46,7 +53,8 @@ def reference_filter(stages, x):
     products cover `span` blocks from block 0, each scan step's products `cols`
     columns from its shift, right to left, and each Toeplitz product one group.
     """
-    n_states = len(stages._state_in)
+    state_in, scan_steps, toeplitz, state_out = matrices(stages)
+    n_states = len(state_in)
     n_blocks = -(-x.size // _GROUP_LEN) * 64
     blocks = np.zeros((n_blocks, 64))
     blocks.reshape(-1)[:x.size] = x
@@ -56,9 +64,9 @@ def reference_filter(stages, x):
     ends = starts[:, 1:]
     pieces = [(a, min(a + span, n_blocks)) for a in range(0, n_blocks, span)]
     for a, b in pieces:
-        ends[:, a:b] = stages._state_in @ blocks[a:b].T
+        ends[:, a:b] = state_in @ blocks[a:b].T
     shift = 1
-    for step in stages._scan_steps:
+    for step in scan_steps:
         if shift >= n_blocks:
             break
         for a in reversed(range(shift, n_blocks, cols)):
@@ -66,33 +74,34 @@ def reference_filter(stages, x):
             ends[:, a:b] += step @ ends[:, a - shift:b - shift]
         shift *= 2
     y = np.empty((n_blocks, 64))
-    toeplitz_t = np.ascontiguousarray(stages._toeplitz.T)
+    toeplitz_t = np.ascontiguousarray(toeplitz.T)
     for a in range(0, n_blocks, 64):
         y[a:a + 64] = blocks[a:a + 64] @ toeplitz_t
     for a, b in pieces:
-        y[a:b] += starts[:, a:b].T @ stages._state_out.T
+        y[a:b] += starts[:, a:b].T @ state_out.T
     return y.reshape(-1)[:x.size]
 
 
 def uncut_reference(stages, x):
     """apply_filter with one product per step over every block at once, and a tail product."""
+    state_in, scan_steps, toeplitz, state_out = matrices(stages)
     n_blocks, tail = divmod(x.size, 64)
     blocks = x[:x.size - tail].reshape(n_blocks, 64)
-    starts = np.zeros((len(stages._state_in), n_blocks + 1))
+    starts = np.zeros((len(state_in), n_blocks + 1))
     ends = starts[:, 1:]
-    np.matmul(stages._state_in, blocks.T, out=ends)
+    np.matmul(state_in, blocks.T, out=ends)
     shift = 1
-    for step in stages._scan_steps:
+    for step in scan_steps:
         if shift >= n_blocks:
             break
         ends[:, shift:] += step @ ends[:, :-shift]
         shift *= 2
     y = np.empty(x.size)
-    y[:x.size - tail] = (blocks @ stages._toeplitz.T
-                         + starts[:, :n_blocks].T @ stages._state_out.T).reshape(-1)
+    y[:x.size - tail] = (blocks @ toeplitz.T
+                         + starts[:, :n_blocks].T @ state_out.T).reshape(-1)
     if tail:
-        y[-tail:] = (stages._toeplitz[:tail, :tail] @ x[-tail:]
-                     + stages._state_out[:tail] @ starts[:, n_blocks])
+        y[-tail:] = (toeplitz[:tail, :tail] @ x[-tail:]
+                     + state_out[:tail] @ starts[:, n_blocks])
     return y
 
 
@@ -241,10 +250,15 @@ def noise_buffer(n, fs):
     return jamsim.SignalBuffer(np.random.default_rng(n).standard_normal(n), fs)
 
 
+def run_bank(bank, x):
+    """The bank's rows from one plan of its filters, as `run_scenario` runs filters 2-4."""
+    return _run_bank(_plan_bank(bank), x)
+
+
 @pytest.mark.parametrize("n", BANK_LENGTHS)
 def test_bank_rows_match_each_filter_alone_and_the_reference(n):
     bank, x = design_bank(10e9), noise_buffer(n, 10e9)
-    rows = jamsim.apply_filters(bank, x)
+    rows = run_bank(bank, x)
     assert len(rows) == len(bank)
     for stages, row in zip(bank, rows):
         assert row.sample_rate == x.sample_rate
@@ -268,7 +282,7 @@ def assert_near_uncut(stages, x, row):
 @pytest.mark.parametrize("order", [2, 12, 24])
 def test_bank_rows_match_each_filter_alone_at_other_orders(order, fs, n):
     bank, x = design_bank(fs, order), noise_buffer(n, fs)
-    for stages, row in zip(bank, jamsim.apply_filters(bank, x)):
+    for stages, row in zip(bank, run_bank(bank, x)):
         assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
 
 
@@ -287,10 +301,10 @@ ZERO_STEP_INPUTS = {
                                               (100e9, 2, [12, 13, 13, 12])])
 def test_a_zero_scan_step_changes_no_byte(fs, order, n_steps, kind):
     bank = design_bank(fs, order)
-    assert [len(stages._scan_steps) for stages in bank] == n_steps
+    assert [stages._plan.steps.shape[1] for stages in bank] == n_steps
     assert (ZERO_STEP_N // 64 - 1).bit_length() >= max(n_steps)
     x = jamsim.SignalBuffer(ZERO_STEP_INPUTS[kind](ZERO_STEP_N), fs)
-    for stages, row in zip(bank, jamsim.apply_filters(bank, x)):
+    for stages, row in zip(bank, run_bank(bank, x)):
         assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
 
 
@@ -301,66 +315,79 @@ def test_a_zero_scan_step_changes_no_byte(fs, order, n_steps, kind):
 @pytest.mark.parametrize("order", [2, 6, 12, 24])
 def test_a_serial_run_gives_the_bytes_of_the_split_run(monkeypatch, order, fs, n):
     bank, x = design_bank(fs, order), noise_buffer(n, fs)
-    split = jamsim.apply_filters(bank, x)
+    split = run_bank(bank, x)
     monkeypatch.setattr(filterbank, "_in_halves", lambda work, lo, hi, samples: work(0, lo, hi))
-    for row, serial in zip(split, jamsim.apply_filters(bank, x)):
+    for row, serial in zip(split, run_bank(bank, x)):
         assert row.samples.tobytes() == serial.samples.tobytes()
 
 
-def test_a_filter_designed_at_another_rate_is_rejected():
-    bank = design_bank(10e9)[:3] + (jamsim.design_bandpass(jamsim.BAND_FILTER_SPECS[3], 5e9),)
-    with pytest.raises(jamsim.InvalidParameter, match="filter designed for 5000000000.0 Hz"):
-        jamsim.apply_filters(bank, noise_buffer(4096, 10e9))
-
-
-@pytest.mark.parametrize("n", [0, 4096, SPLIT + 1])
-def test_an_empty_bank_gives_no_rows(n):
-    assert jamsim.apply_filters((), noise_buffer(n, 10e9)) == ()
-
-
-def test_a_bank_that_mixes_orders_is_rejected():
-    bank = design_bank(10e9)[:3] + (jamsim.design_bandpass(jamsim.BAND_FILTER_SPECS[3], 10e9, 12),)
-    with pytest.raises(jamsim.InvalidParameter, match="mixes orders 6 and 12"):
-        jamsim.apply_filters(bank, noise_buffer(4096, 10e9))
-
-
-# A Pipeline plans its bank once; the public apply_filters plans on each call.
+# A Pipeline plans filters 2-4 once; apply_filter runs a filter's own plan and plans nothing.
 PLAN_CASES = ([(6, n) for n in (2, 63, 64, 65, 4096, SPLIT + 1)]
               + [(order, n) for order in (2, 12, 24) for n in (1151, SPLIT + 7)])
 
 
 @pytest.mark.parametrize("order,n", PLAN_CASES)
-def test_a_pipelines_plan_gives_the_bytes_of_a_public_call(order, n):
+def test_a_pipelines_plan_gives_the_bytes_of_each_filters_own_plan(order, n):
     pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(filter_order=order))
     x = noise_buffer(n, pipeline.config.sample_rate)
     wired = pipeline.filters[1:]
-    rows, public = _run_bank(pipeline._bank, x), jamsim.apply_filters(wired, x)
+    rows, fresh = _run_bank(pipeline._bank, x), run_bank(wired, x)
     assert len(rows) == 3
-    for stages, row, want in zip(wired, rows, public):
+    for stages, row, want in zip(wired, rows, fresh):
         assert row.samples.tobytes() == want.samples.tobytes()
+        assert row.samples.tobytes() == jamsim.apply_filter(stages, x).samples.tobytes()
         assert row.samples.tobytes() == reference_filter(stages, x.samples).tobytes()
         assert_near_uncut(stages, x, row)
 
 
+def test_apply_filter_plans_no_bank(monkeypatch):
+    bank, x = design_bank(10e9), noise_buffer(SPLIT + 7, 10e9)
+    want = [reference_filter(stages, x.samples).tobytes() for stages in bank]
+
+    def refuse(bank):
+        raise AssertionError("apply_filter planned a bank")
+
+    monkeypatch.setattr(filterbank, "_plan_bank", refuse)
+    assert [jamsim.apply_filter(stages, x).samples.tobytes() for stages in bank] == want
+
+
+PLAN_ARRAYS = ("state_in", "toeplitz_t", "state_out", "steps")
+
+
 @pytest.mark.parametrize("order", [2, 6, 24])
-def test_a_plan_is_read_only_and_holds_every_filters_steps(order):
+def test_a_pipelines_plan_rows_are_each_filters_own_plan(order):
     pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(filter_order=order))
-    plan = pipeline._bank
-    arrays = [getattr(plan, f.name) for f in fields(plan)
-              if isinstance(getattr(plan, f.name), np.ndarray)]
-    assert len(arrays) == 3
-    assert not any(array.flags.writeable for array in arrays)
-    assert plan.filters == pipeline.filters[1:]
-    for stages, steps in zip(plan.filters, plan.steps):
-        n_steps = len(stages._scan_steps)
-        assert np.array_equal(steps[:n_steps], stages._scan_steps) and not steps[n_steps:].any()
+    plan, wired = pipeline._bank, pipeline.filters[1:]
+    assert [f.name for f in fields(plan)] == ["sample_rate", *PLAN_ARRAYS]
+    assert plan.sample_rate == pipeline.config.sample_rate
+    for f, stages in enumerate(wired):
+        own = stages._plan
+        assert own.sample_rate == plan.sample_rate
+        for name in PLAN_ARRAYS[:3]:
+            assert np.array_equal(getattr(plan, name)[f], getattr(own, name)[0]), name
+        n_steps = own.steps.shape[1]
+        assert np.array_equal(plan.steps[f, :n_steps], own.steps[0])
+        assert not plan.steps[f, n_steps:].any()
+    assert plan.steps.shape[1] == max(stages._plan.steps.shape[1] for stages in wired)
+
+
+@pytest.mark.parametrize("order", [2, 6, 24])
+def test_every_plan_array_is_read_only(order):
+    pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(filter_order=order))
+    for plan in (pipeline._bank, *(stages._plan for stages in pipeline.filters)):
+        for name in PLAN_ARRAYS:
+            array = getattr(plan, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
 
 
 def test_replacing_the_config_plans_the_new_filters():
     pipeline = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=SPLIT + 7))
     twelve = replace(pipeline, config=replace(pipeline.config, filter_order=12))
     assert twelve._bank.state_in.shape[:2] == (3, 12)  # six sections, two states each
-    assert set(twelve._bank.filters) == set(twelve.filters[1:])
+    assert np.array_equal(twelve._bank.state_in,
+                          np.concatenate([stages._plan.state_in for stages in twelve.filters[1:]]))
     report = jamsim.run_scenario(twelve, jamsim.builtin_scenarios()[3])
     for k, stages in enumerate(twelve.filters[1:], 2):
         alone = jamsim.apply_filter(stages, report.branch_buffers["input"])
@@ -375,7 +402,7 @@ def test_a_pipelines_plan_rejects_a_buffer_at_another_rate():
 
 @pytest.mark.parametrize("n", [4096, SPLIT + 1])
 def test_an_all_zero_input_gives_positive_zero_rows(n):
-    for row in jamsim.apply_filters(design_bank(10e9), jamsim.SignalBuffer(np.zeros(n), 10e9)):
+    for row in run_bank(design_bank(10e9), jamsim.SignalBuffer(np.zeros(n), 10e9)):
         assert not np.signbit(row.samples).any()
 
 
@@ -392,7 +419,7 @@ def test_threads_a_bank_starts(monkeypatch, n, size, threads):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", record)
-    jamsim.apply_filters(design_bank(10e9)[:size], noise_buffer(n, 10e9))
+    run_bank(design_bank(10e9)[:size], noise_buffer(n, 10e9))
     assert len(started) == threads
 
 
@@ -418,16 +445,20 @@ def test_an_error_in_the_helper_scan_half_surfaces_unchanged(monkeypatch):
     monkeypatch.setattr(filterbank, "np", NumpyFailingInTheHelperScan(boom, raised_in))
     before = threading.active_count()
     with pytest.raises(Boom) as err:
-        jamsim.apply_filters(design_bank(10e9), noise_buffer(SPLIT + 1, 10e9))
+        run_bank(design_bank(10e9), noise_buffer(SPLIT + 1, 10e9))
     assert err.value is boom
     assert raised_in
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("order", [2, 6, 24])
-def test_the_toeplitz_transpose_is_contiguous_and_read_only(order):
+def test_the_toeplitz_transpose_is_contiguous_and_holds_the_impulse_response(order):
     bank = design_bank(10e9, order)
-    t = filterbank._plan_bank(bank).toeplitz_t
-    assert t.flags.c_contiguous and not t.flags.writeable
+    t = _plan_bank(bank).toeplitz_t
+    assert t.flags.c_contiguous
+    lag = np.arange(64) - np.arange(64)[:, None]
     for stages, stacked in zip(bank, t):
-        assert np.array_equal(stacked[0], stages._toeplitz.T)
+        assert stages._plan.toeplitz_t.flags.c_contiguous
+        assert np.array_equal(stacked, stages._plan.toeplitz_t[0])
+        h = jamsim.apply_filter(stages, jamsim.SignalBuffer(np.r_[1.0, np.zeros(63)], 10e9)).samples
+        assert np.array_equal(stacked[0], np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0))
