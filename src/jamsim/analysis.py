@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,8 @@ from .signal_core import SignalBuffer, _as_readonly_f64, check_number
 
 #: dB value substituted for zero-power bins so output stays finite.
 DB_FLOOR = -200.0
+#: n * max|x| past which the transform's sums might overflow, and it takes x scaled down.
+_FFT_LIMIT = 2.0 ** 900
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,14 +41,16 @@ def power_spectrum(signal: SignalBuffer) -> Spectrum:
 
     Normalized so the per-bin powers sum to the signal's mean square
     (Parseval); interior bins carry the doubled one-sided weight.  A bin
-    whose square overflows is inf dB, without a warning.
+    whose power overflows is inf dB, without a warning.
     """
-    n = len(signal)
+    n, x = len(signal), signal.samples
     if n < 2:
         raise InvalidParameter(f"power_spectrum needs at least 2 samples, got {n}")
-    spec = np.fft.rfft(signal.samples)
+    peak = max(x.max(), -x.min())
+    shift = math.frexp(peak / (_FFT_LIMIT / n))[1] if peak > _FFT_LIMIT / n else 0
+    spec = np.fft.rfft(x * 2.0 ** -shift if shift else x)  # scaled exactly, and back below
     with np.errstate(over="ignore"):
-        power = np.abs(spec) ** 2 / float(n) ** 2
+        power = np.abs(spec) ** 2 / float(n) ** 2 * 4.0 ** shift
     # Fold the negative-frequency half into the interior bins.
     power[1:] *= 2.0
     if n % 2 == 0:

@@ -41,10 +41,10 @@ from .analysis import power_spectrum
 from .errors import InvalidParameter, JamSimError, ParseError
 from .filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from .pipeline import (
+    Pipeline,
     PipelineConfig,
     Scenario,
     ScenarioReport,
-    build_pipeline,
     builtin_scenarios,
     run_scenario,
 )
@@ -183,8 +183,9 @@ def _atomic_output(target: str, is_ours, what: str):
     """Yield a path to write a file or directory at; on success, move it onto `target`.
 
     An existing `target` that `is_ours` rejects is refused, on entry and again just before
-    the move; a replaced directory is moved aside until the new one is in place.  If the body
-    raises, the parent directories made for `target` are removed again while they are empty.
+    the move; a replaced directory is moved aside until the new one is in place.  The path is
+    staged in the deepest directory that exists on the way to `target`, and the missing
+    parents are made only for the move, so a failed run leaves no directory behind.
     """
     def refuse_foreign():
         if os.path.lexists(target) and not is_ours(target):
@@ -192,16 +193,16 @@ def _atomic_output(target: str, is_ours, what: str):
                                    "refusing to replace it")
 
     refuse_foreign()
-    parent = path = os.path.abspath(target)
-    made = []  # the parents missing now, deepest first
-    while not os.path.isdir(parent := os.path.dirname(parent)):
-        made.append(parent)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=os.path.dirname(path))
+    path = os.path.abspath(target)
+    base = os.path.dirname(path)
+    while not os.path.isdir(base):
+        base = os.path.dirname(base)
+    tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=base)
     staged = os.path.join(tmp, "new")
     try:
         yield staged
         refuse_foreign()
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         if os.path.isdir(staged) and os.path.lexists(path):
             old = os.path.join(tmp, "old")
             os.rename(path, old)
@@ -212,18 +213,14 @@ def _atomic_output(target: str, is_ours, what: str):
                 raise
         else:
             os.replace(staged, path)
-        made = []  # in place: the parents stay
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-        with contextlib.suppress(OSError):  # a parent not empty, or never made, ends the walk
-            for parent in made:
-                os.rmdir(parent)
 
 
 def _cmd_run(args) -> int:
     scenario, config = _resolve_run(args)
     with _atomic_output(args.out, _is_jamsim_output, "output directory") as out_dir:
-        report = run_scenario(build_pipeline(config), scenario)
+        report = run_scenario(Pipeline(config), scenario)
         manifest = _manifest(scenario, config, report, args.reproducible)
         try:
             manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"

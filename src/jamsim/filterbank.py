@@ -368,7 +368,7 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
 
     n_pieces = -(-n_blocks // span)
     _in_halves(end_states, 0, n_pieces, n)  # the thread threshold reads the unpadded length
-    _in_halves(scans, 0, n_bank, n if n_bank > 1 else 0)
+    _in_halves(scans, 0, n_bank, n)
     _in_halves(outputs, 0, n_pieces, n)
     rows = out.reshape(n_bank, -1)[:, :n]
     return tuple(SignalBuffer(_Owned(row), signal.sample_rate) for row in rows)

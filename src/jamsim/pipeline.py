@@ -13,8 +13,7 @@ Stages run whole-buffer, one at a time; every stage is causal and
 feed-forward, so this matches sample-interleaved execution exactly.  A
 branch whose detector peak |x| stays at or below the threshold costs one
 peak pass and returns the pipeline's shared read-only zeros as its gate and
-jammer, as the paper's circuit generates no output when no band is detected;
-a fired jammer's RMS is 0.0 without a pass where its settled gate is never high.
+jammer, as the paper's circuit generates no output when no band is detected.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ class PipelineConfig:
 
 
 def default_pipeline_config(seed: int = DEFAULT_SEED, **overrides: Any) -> PipelineConfig:
-    """Default config with noise seed `seed` (the Band 40 jammer takes seed+1)."""
+    """`PipelineConfig(seed=seed, **overrides)`; kept only for the perfbench harness."""
     return PipelineConfig(seed=seed, **overrides)
 
 
@@ -158,7 +157,7 @@ class Pipeline:
     filters: tuple[FilterStages, ...] = field(init=False)
     #: Filters 2-4, the wired ones, planned once as one bank; `run_scenario` runs them from it.
     _bank: _BankPlan = field(init=False, repr=False)
-    #: An idle branch's gate, jammer buffer and settle: one read-only zero array serves both.
+    #: An idle branch's gate and jammer, one read-only zero array, then level, stable, RMS.
     _idle: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -168,23 +167,22 @@ class Pipeline:
         object.__setattr__(self, "_bank", _plan_bank(self.filters[1:]))
         silent = SignalBuffer(_Owned(np.zeros(cfg.n_samples)), cfg.sample_rate)
         low = GateLine(_Owned(silent.samples), silent.sample_rate, cfg.trigger.high_level)
-        idle = (low, silent, *_settle(low, silent, MEASURE_SKIP_FRACTION))
-        object.__setattr__(self, "_idle", idle)
+        object.__setattr__(self, "_idle", (low, silent, 0.0, True, 0.0))
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
-    """Design the four band filters for `config`."""
+    """`Pipeline(config)`; kept only for the perfbench harness."""
     return Pipeline(config)
 
 
 def _settle(gate: GateLine, jammed: SignalBuffer, skip: float) -> tuple[float, bool, float]:
     """Modal gate level after the skip region, whether it was constant, and the jammer's RMS
-    there: 0.0 unread if no gate sample there is high, as `jam` then left exact zeros."""
+    there."""
     tail = gate.levels[int(skip * len(gate)):]
     n_high = int(np.count_nonzero(tail))
     level = gate.high_level if n_high > tail.size - n_high else 0.0
     stable = n_high == 0 or n_high == tail.size
-    return level, stable, rms(jammed, skip) if n_high else 0.0
+    return level, stable, rms(jammed, skip)
 
 
 def _branch(pipeline: Pipeline, detected: SignalBuffer, jammed: SignalBuffer,

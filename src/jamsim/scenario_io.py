@@ -83,10 +83,9 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
                         ) -> tuple[Scenario, PipelineConfig]:
     """Parse a scenario document into a fully resolved (Scenario, PipelineConfig)."""
     name = "scenario"
-    tones: list[dict[str, float]] = []
-    tone_lines: list[int] = []  # the line that starts each tone
+    tones: list[tuple[dict[str, float], dict[str, int]]] = []  # each tone's fields, their lines
     settings: dict[str, dict[str, float | int]] = {"sim": {}, "jammer": {}, "trigger": {}}
-    lines: dict[str, int] = {}  # field -> line that last set it
+    lines: dict[str, int] = {}  # [sim], [jammer] or [trigger] field -> the line that set it
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -112,29 +111,29 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
             continue
 
         if section == "tones" and key == _TONE_KEY:
-            tones.append({})
-            tone_lines.append(lineno)
+            tones.append(({}, {}))
         elif section == "tones" and not tones:
             raise ParseError(f"{key} appears before any {_TONE_KEY}", lineno)
-        target = tones[-1] if section == "tones" else settings[section]
+        target, target_lines = tones[-1] if section == "tones" else (settings[section], lines)
         field = _SECTION_KEYS[section][key]
         if field in target:
             raise ParseError(f"duplicate key {key!r}", lineno)
         number = _parse_number(key, value, lineno)
         target[field] = number * _SCALE[field] if field in _SCALE else number
-        lines[field] = lineno
-        if section == "tones":  # checked now: the next tone reuses these line slots
-            with _blame(lines):
-                ToneSpec(**target)
+        target_lines[field] = lineno
 
     with _blame(lines):
         config = PipelineConfig(**{"seed": default_seed, **settings["sim"], **settings["jammer"]},
                                 trigger=TriggerConfig(**settings["trigger"]))
-        scenario = Scenario(name=name, tones=tuple(ToneSpec(**t) for t in tones))
-    for tone, line in zip(scenario.tones, tone_lines):  # blamed on it or on the rate's line
-        with _blame({**lines, "frequency": line}):
+    specs = []
+    for fields, own in tones:  # blamed on the tone's own lines or on the rate's
+        with _blame({**lines, **own}):
+            tone = ToneSpec(**fields)
             check_below_nyquist(tone.frequency, config.sample_rate, f"tone at {tone.frequency} Hz",
                                 "frequency", "sample_rate")
+        specs.append(tone)
+    with _blame({f: line for _, own in tones for f, line in own.items()}):
+        scenario = Scenario(name=name, tones=tuple(specs))  # a sum: the last amplitude_v line
     return scenario, config
 
 
@@ -143,21 +142,6 @@ def _file_values(source, section: str) -> dict:
     each setting under its file key and in file units (a tone's frequency in MHz)."""
     return {key: getattr(source, field) / _SCALE[field] if field in _SCALE
             else getattr(source, field) for key, field in _SECTION_KEYS[section].items()}
-
-
-def render_scenario_file(scenario: Scenario, config: PipelineConfig) -> str:
-    """Serialize back to the file format; every setting round-trips through parse_scenario_file."""
-    def assignments(source, section: str) -> list[str]:
-        return [f"{key} = {value!r}" for key, value in _file_values(source, section).items()
-                if value is not None]
-
-    lines = ["[scenario]", f"name = {scenario.name}", "", "[tones]"]
-    for tone in scenario.tones:
-        lines += assignments(tone, "tones")
-    for section in ("sim", "jammer", "trigger"):
-        lines += ["", f"[{section}]",
-                  *assignments(config.trigger if section == "trigger" else config, section)]
-    return "\n".join(lines) + "\n"
 
 
 #: Rows formatted per write, so a long buffer's CSV body is never held whole in memory.

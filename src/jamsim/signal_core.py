@@ -89,9 +89,9 @@ def _as_readonly_f64(values, name: str) -> np.ndarray:
 
 
 def _in_halves(work, lo: int, hi: int, samples: int) -> None:
-    """`work(0, lo, hi)`, or from 2**17 samples up `work(0, lo, mid)` here while a
-    helper thread runs `work(1, mid, hi)`; an exception from either is raised here."""
-    if samples < 2**17:
+    """`work(0, lo, hi)`, or from 2**17 samples and two items up `work(0, lo, mid)` here
+    while a helper thread runs `work(1, mid, hi)`; an exception from either is raised here."""
+    if samples < 2**17 or hi - lo < 2:
         return work(0, lo, hi)
     mid, failed = (lo + hi) // 2, []
 

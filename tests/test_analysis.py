@@ -70,6 +70,19 @@ class TestPowerSpectrum:
             spec = power_spectrum(SignalBuffer([1e200, -1e200, 3.0], FS))
         assert spec.power_db[1] == np.inf
 
+    @pytest.mark.parametrize("samples,inf_bin", [
+        ([1e308] * 4, 0),
+        ([1.7e308, -1.7e308] * 2, 2),
+        ([1e308, 0.0, -1e308, 0.0], 1),
+    ])
+    def test_a_transform_that_would_overflow_gives_inf_and_floor_bins(self, samples, inf_bin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = power_spectrum(SignalBuffer(samples, 1e10))
+        expected = np.full(3, DB_FLOOR)
+        expected[inf_bin] = np.inf
+        np.testing.assert_array_equal(spec.power_db, expected)
+
 
 class TestRms:
     def test_silence(self):

@@ -4,12 +4,15 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jamsim.cli as cli
 from jamsim.cli import run_cli
-from jamsim.pipeline import PipelineConfig, builtin_scenarios
-from jamsim.scenario_io import parse_scenario_file
+from jamsim.pipeline import Pipeline, PipelineConfig, Scenario, builtin_scenarios, run_scenario
+from jamsim.scenario_io import _SECTION_KEYS, parse_scenario_file
+from jamsim.signal_core import ToneSpec
+from jamsim.trigger import TriggerConfig
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -172,6 +175,38 @@ class TestManifestEcho:
         echoed = parse_scenario_file(scenario_file_from_manifest(manifest))
         assert echoed == (scenario, replace(config, **self.FLAGS))
 
+    def test_every_setting_off_its_default_is_echoed(self, tmp_path):
+        text = "\n".join([
+            "[scenario]", "name = every-key",
+            "[tones]", "freq_mhz = 1747.5", "amplitude_v = 1.25", "phase_rad = 0.5",
+            "freq_mhz = 2355", "phase_rad = -1", "amplitude_v = 0.75",
+            "[sim]", "sample_rate_hz = 11e9", "n_samples = 2048", "seed = 7", "filter_order = 4",
+            "[jammer]", "gain = 4.5", "gaussian_sigma_v = 0.75", "rayleigh_sigma_v = 0.5",
+            "[trigger]", "threshold_v = 1.1", "high_v = 6.0", "envelope_window = 7",
+        ]) + "\n"
+        assert all(f"\n{key} = " in text for keys in _SECTION_KEYS.values() for key in keys)
+        (tmp_path / "every.scn").write_text(text)
+        assert run_cli(["run", str(tmp_path / "every.scn"), "--out", str(tmp_path / "d")]) == 0
+        echoed = parse_scenario_file(scenario_file_from_manifest(read_manifest(tmp_path / "d")))
+        assert echoed == parse_scenario_file(text)
+
+    def test_numpy_scalar_settings_echo_as_plain_numbers(self):
+        # Stored coerced, numpy scalars echo as the plain numbers, not as "np.float64(4.5)".
+        scenario = Scenario("np", (ToneSpec(np.float64(1.2e9), np.float32(1.5)),))
+        config = PipelineConfig(sample_rate=np.float64(11e9), n_samples=np.int64(2048),
+                                seed=np.uint32(7), gain=np.float64(4.5),
+                                gaussian_sigma=np.float64(0.75), rayleigh_sigma=np.int8(1),
+                                trigger=TriggerConfig(np.float64(1.1), np.float64(6.0),
+                                                      np.int64(7)))
+        plain = (Scenario("np", (ToneSpec(1.2e9, 1.5),)),
+                 PipelineConfig(sample_rate=11e9, n_samples=2048, seed=7, gain=4.5,
+                                gaussian_sigma=0.75, rayleigh_sigma=1,
+                                trigger=TriggerConfig(1.1, 6.0, 7)))
+        report = run_scenario(Pipeline(plain[1]), plain[0])
+        manifest = json.dumps(cli._manifest(scenario, config, report, True))
+        assert manifest == json.dumps(cli._manifest(*plain, report, True))
+        assert parse_scenario_file(scenario_file_from_manifest(json.loads(manifest))) == plain
+
 
 class TestSeedResolution:
     def test_env_var_overrides_default(self, tmp_path, monkeypatch):
@@ -289,8 +324,8 @@ class TestAtomicity:
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert after == before
 
-    def test_a_failed_run_removes_the_parents_it_made(self, tmp_path):
-        # The filter design fails at 1e18 S/s (exit 2) after the parents of --out are made.
+    def test_a_failed_run_makes_no_parent_directory(self, tmp_path):
+        # The filter design fails at 1e18 S/s (exit 2) inside the run.
         assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "new" / "sub"),
                         "--fs", "1e18"]) == 2
         assert list(tmp_path.iterdir()) == []
@@ -302,14 +337,27 @@ class TestAtomicity:
         assert [p.name for p in tmp_path.iterdir()] == ["old"]
         assert list((tmp_path / "old").iterdir()) == []
 
-    def test_a_parent_that_gains_a_file_during_a_failed_run_stays(self, tmp_path, monkeypatch):
-        def add_file_then_fail(*args):
-            (tmp_path / "new" / "user.txt").write_text("mine")
-            raise OSError("disk full")
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_parent_exists_while_the_run_computes(self, tmp_path, monkeypatch, fails):
+        seen = []
 
-        monkeypatch.setattr(cli, "run_scenario", add_file_then_fail)
-        assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "new" / "sub")]) == 2
-        assert [p.name for p in (tmp_path / "new").iterdir()] == ["user.txt"]
+        def look_then_run(*args):
+            seen.extend(p.name for p in tmp_path.iterdir())
+            if fails:
+                raise OSError("disk full")
+            return run_scenario(*args)
+
+        run_scenario = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario", look_then_run)
+        code = run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "new" / "sub")])
+        assert len(seen) == 1 and seen[0].startswith(".jamsim-")  # the staging directory only
+        if fails:
+            assert code == 2
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert code == 0
+            assert [p.name for p in tmp_path.iterdir()] == ["new"]
+            assert {p.name for p in (tmp_path / "new" / "sub").iterdir()} == RUN_FILES
 
 
 class TestScenariosCommand:

@@ -11,10 +11,9 @@ from jamsim.cli import run_cli
 from jamsim.errors import InvalidParameter, ParseError
 from jamsim.filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from jamsim.jammer import JammerConfig
-from jamsim.pipeline import PipelineConfig, Scenario, build_pipeline, run_scenario
+from jamsim.pipeline import build_pipeline, run_scenario
 from jamsim.scenario_io import (
     parse_scenario_file,
-    render_scenario_file,
     write_spectrum_csv,
     write_timeseries_csv,
 )
@@ -114,6 +113,21 @@ class TestParse:
             parse_scenario_file(text)
         assert err.value.line == line
 
+    def test_each_tone_is_built_once(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return ToneSpec(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_io, "ToneSpec", counted)
+        scenario, _ = parse_scenario_file(
+            "[tones]\nfreq_mhz = 1200\namplitude_v = 1\nphase_rad = 0.5\n"
+            "freq_mhz = 1740\nphase_rad = 1\nfreq_mhz = 2340\n[sim]\nsample_rate_hz = 9e9\n")
+        assert len(built) == 3
+        assert scenario.tones == (ToneSpec(1200e6, 1.0, 0.5), ToneSpec(1740e6, 2.0, 1.0),
+                                  ToneSpec(2340e6))
+
     def test_a_rate_lowered_after_parsing_fails_at_run_time(self):
         scenario, config = parse_scenario_file("[tones]\nfreq_mhz = 4600\n")
         pipeline = build_pipeline(replace(config, sample_rate=9e9))
@@ -165,61 +179,6 @@ class TestParse:
         scenario, _ = parse_scenario_file(
             "# a comment\n\n[tones]\nfreq_mhz = 1200  # trailing\n")
         assert len(scenario.tones) == 1
-
-
-class TestRoundTrip:
-    def test_render_then_parse_is_identity(self):
-        text = """
-        [scenario]
-        name = roundtrip
-
-        [tones]
-        freq_mhz = 1747.5
-        amplitude_v = 1.25
-        phase_rad = 0.5
-        freq_mhz = 2355
-        amplitude_v = 2.0
-        phase_rad = 0.0
-
-        [sim]
-        sample_rate_hz = 11e9
-        n_samples = 2048
-        seed = 7
-        filter_order = 4
-
-        [jammer]
-        gain = 4.5
-        gaussian_sigma_v = 0.75
-        rayleigh_sigma_v = 0.5
-
-        [trigger]
-        threshold_v = 1.1
-        high_v = 6.0
-        envelope_window = 7
-        """
-        scenario, config = parse_scenario_file("\n".join(
-            line.strip() for line in text.splitlines()))
-        scenario2, config2 = parse_scenario_file(render_scenario_file(scenario, config))
-        assert scenario2 == scenario
-        assert config2 == config
-
-    def test_default_config_round_trips(self):
-        scenario, config = parse_scenario_file("[tones]\nfreq_mhz = 1200\n")
-        scenario2, config2 = parse_scenario_file(render_scenario_file(scenario, config))
-        assert scenario2 == scenario
-        assert config2 == config
-
-    def test_numpy_scalar_settings_round_trip(self):
-        # Stored coerced, numpy scalars render as plain numbers, not as "np.float64(4.5)".
-        scenario = Scenario("np", (ToneSpec(np.float64(1.2e9), np.float32(1.5)),))
-        config = PipelineConfig(sample_rate=np.float64(11e9), n_samples=np.int64(2048),
-                                seed=np.uint32(7), gain=np.float64(4.5),
-                                gaussian_sigma=np.float64(0.75), rayleigh_sigma=np.int8(1),
-                                trigger=TriggerConfig(np.float64(1.1), np.float64(6.0),
-                                                      np.int64(7)))
-        scenario2, config2 = parse_scenario_file(render_scenario_file(scenario, config))
-        assert scenario2 == scenario
-        assert config2 == config
 
 
 class TestCsvBytes:
