@@ -195,7 +195,7 @@ def _atomic_output(target: str, is_ours, what: str):
     refuse_foreign()
     path = os.path.abspath(target)
     base = os.path.dirname(path)
-    while not os.path.isdir(base):
+    while not os.path.lexists(base):  # a file here fails the staging, before the run
         base = os.path.dirname(base)
     tmp = tempfile.mkdtemp(prefix=".jamsim-", dir=base)
     staged = os.path.join(tmp, "new")

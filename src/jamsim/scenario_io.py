@@ -26,8 +26,8 @@ A scenario file is a line-based key = value document::
     high_v = 5.0
     envelope_window = 6
 
-Blank lines and ``#`` comments are ignored.  Unknown sections or keys
-and out-of-range values fail fast with the offending key's line number.
+Blank lines and ``#`` comments are ignored.  Unknown sections or keys fail
+fast, and out-of-range values once the file is read, with the key's line number.
 The [sim] seed feeds the Band 3 jammer; the Band 40 jammer takes seed+1.
 """
 

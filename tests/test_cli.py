@@ -337,6 +337,15 @@ class TestAtomicity:
         assert [p.name for p in tmp_path.iterdir()] == ["old"]
         assert list((tmp_path / "old").iterdir()) == []
 
+    def test_an_out_path_through_a_file_fails_before_the_run(self, tmp_path, monkeypatch,
+                                                             capsys):
+        (tmp_path / "f.txt").write_text("mine")
+        monkeypatch.setattr(cli, "run_scenario", lambda *args: pytest.fail("the run started"))
+        assert run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "f.txt" / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("jamsim: i/o error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+        assert (tmp_path / "f.txt").read_text() == "mine"
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_no_parent_exists_while_the_run_computes(self, tmp_path, monkeypatch, fails):
         seen = []
