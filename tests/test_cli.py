@@ -356,7 +356,6 @@ class TestAtomicity:
                 raise OSError("disk full")
             return run_scenario(*args)
 
-        run_scenario = cli.run_scenario
         monkeypatch.setattr(cli, "run_scenario", look_then_run)
         code = run_cli(["run", "--builtin", "1", "--out", str(tmp_path / "new" / "sub")])
         assert len(seen) == 1 and seen[0].startswith(".jamsim-")  # the staging directory only

@@ -218,7 +218,7 @@ class TestRunScenario:
 
 
 class TestSettledJammerRms:
-    """The settle pass gives each jammer's RMS: without a pass when its settled gate is low."""
+    """The settle pass gives each jammer's RMS, 0.0 when its settled gate is low."""
 
     @pytest.mark.parametrize("n", [4096, 1001])
     @pytest.mark.parametrize("high", ["skip-region-only", "last-sample-only", "none", "all"])
