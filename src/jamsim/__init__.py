@@ -18,6 +18,7 @@ from .filterbank import (
 )
 from .jammer import JammerConfig, jam
 from .pipeline import (
+    BranchReport,
     Pipeline,
     PipelineConfig,
     Scenario,

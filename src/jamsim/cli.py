@@ -7,7 +7,7 @@ Commands::
     jamsim scenarios
     jamsim response --filter K --out FILE
 
-`run` writes jammer1/jammer2/trigger1/trigger2 time series, the input
+`run` writes each branch's jammer and trigger time series, the input
 spectrum and a JSON manifest into DIR, atomically: the directory is
 either complete or untouched.  An existing DIR is replaced only if it is
 empty or holds nothing but a run's files, a jamsim manifest.json among
@@ -41,6 +41,8 @@ from .analysis import power_spectrum
 from .errors import InvalidParameter, JamSimError, ParseError
 from .filterbank import BAND_FILTER_SPECS, design_bandpass, frequency_response
 from .pipeline import (
+    BRANCHES,
+    MEASURE_SKIP_FRACTION,
     Pipeline,
     PipelineConfig,
     Scenario,
@@ -56,14 +58,21 @@ SEED_ENV_VAR = "JAMSIM_SEED"
 #: Timestamp placeholder written under --reproducible.
 REPRODUCIBLE_TIMESTAMP = "reproducible"
 
+#: What a run records of each branch, named for its number k: the `BranchReport` field
+#: each time series file and each manifest `results` entry holds.
+_SERIES = {"jammer{k}": "jammer", "trigger{k}": "gate"}
+_RESULTS = {"trigger{k}_level_v": "level", "trigger{k}_stable": "stable", "jammer{k}_rms_v": "rms"}
 _RUN_OUTPUTS = {
-    "jammer1": "jammer1.csv",
-    "jammer2": "jammer2.csv",
-    "trigger1": "trigger1.csv",
-    "trigger2": "trigger2.csv",
+    **{name.format(k=k): name.format(k=k) + ".csv" for name in _SERIES for k in BRANCHES.values()},
     "input_spectrum": "input_spectrum.csv",
     "manifest": "manifest.json",
 }
+
+
+def _per_branch(report: ScenarioReport, table: dict) -> dict:
+    """Each `table` entry for each branch k: its name for k, and that branch's field."""
+    return {name.format(k=k): getattr(report.branches[branch], field)
+            for name, field in table.items() for branch, k in BRANCHES.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,21 +147,14 @@ def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport
                      "tones": [_file_values(tone, "tones") for tone in scenario.tones]},
         "config": {
             **sim,
-            "measure_skip_fraction": config.measure_skip_fraction,
+            "measure_skip_fraction": MEASURE_SKIP_FRACTION,
             "trigger": _file_values(config.trigger, "trigger"),
             "jammer3": {**jammer, "seed": config.jammer3.noise.seed},
             "jammer40": {**jammer, "seed": config.jammer40.noise.seed},
         },
         "outputs": {k: v for k, v in _RUN_OUTPUTS.items() if k != "manifest"},
-        "results": {
-            "trigger1_level_v": report.trigger1_level,
-            "trigger2_level_v": report.trigger2_level,
-            "trigger1_stable": report.trigger1_stable,
-            "trigger2_stable": report.trigger2_stable,
-            "jammer1_rms_v": report.jammer1_rms,
-            "jammer2_rms_v": report.jammer2_rms,
-        },
-        "verdicts": dict(report.verdicts),
+        "results": _per_branch(report, _RESULTS),
+        "verdicts": report.verdicts,
     }
 
 
@@ -227,16 +229,15 @@ def _cmd_run(args) -> int:
         except ValueError as exc:  # inf or nan, which strict JSON parsers reject
             raise JamSimError(f"manifest not written: {exc}") from None
         os.mkdir(out_dir)
-        series = {**report.branch_buffers, **report.gates}
-        for name in ("jammer1", "jammer2", "trigger1", "trigger2"):
-            write_timeseries_csv(series[name], os.path.join(out_dir, _RUN_OUTPUTS[name]))
-        write_spectrum_csv(power_spectrum(report.branch_buffers["input"]),
+        for name, series in _per_branch(report, _SERIES).items():
+            write_timeseries_csv(series, os.path.join(out_dir, _RUN_OUTPUTS[name]))
+        write_spectrum_csv(power_spectrum(report.input),
                            os.path.join(out_dir, _RUN_OUTPUTS["input_spectrum"]))
         with open(os.path.join(out_dir, _RUN_OUTPUTS["manifest"]), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(manifest_text)
-    print(", ".join(f"{band}: {'JAMMING' if report.verdicts[band] else 'idle'}"
-                    for band in ("band3", "band40")))
+    print(", ".join(f"{band}: {'JAMMING' if jams else 'idle'}"
+                    for band, jams in report.verdicts.items()))
     return 0
 
 

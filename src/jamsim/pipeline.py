@@ -4,15 +4,17 @@ A `Pipeline` is its `PipelineConfig` plus the four filters designed from
 it in `BAND_FILTER_SPECS` order (``filters[k - 1]`` is filter k), with filters
 2-4 planned together once, read-only; `run_scenario` runs them from that plan
 and reads the trigger and jammer settings from the config.
-Band 3 is FDD, so detection and jamming use different filters: the
+`BRANCHES` numbers the circuit's two branches: in branch k, trigger k gates
+jammer k, and a `ScenarioReport` holds one `BranchReport` per branch.
+Band 3 (branch 1) is FDD, so detection and jamming use different filters: the
 uplink filter (2) feeds trigger 1 and the downlink filter (3) feeds
-jammer 1.  Band 40 is TDD and shares one allocation, so filter 4 feeds
+jammer 1.  Band 40 (branch 2) is TDD and shares one allocation, so filter 4 feeds
 both trigger 2 and jammer 2.  Filter 1 (the full Band 3 span) drives no branch, so
-it is designed but not run: ``apply_filter(pipeline.filters[0], input)`` gives it.
+it is designed but not run: ``apply_filter(pipeline.filters[0], report.input)`` gives it.
 Stages run whole-buffer, one at a time; every stage is causal and
 feed-forward, so this matches sample-interleaved execution exactly.  A
 branch whose detector peak |x| stays at or below the threshold costs one
-peak pass and returns the pipeline's shared read-only zeros as its gate and
+peak pass; its report holds the pipeline's shared read-only zeros as its gate and
 jammer, as the paper's circuit generates no output when no band is detected.
 """
 
@@ -43,6 +45,7 @@ from .signal_core import (
     DEFAULT_SEED,
     DEFAULT_TONE_AMPLITUDE,
     MAX_N_SAMPLES,
+    MAX_SEED,
     MAX_TOTAL_AMPLITUDE,
     NoiseSpec,
     SignalBuffer,
@@ -60,6 +63,8 @@ from .trigger import GateLine, TriggerConfig, trigger_chain
 #: Leading fraction of each gate and jammer output left out of the settled
 #: measurements, so the filters' start-up transient does not count.
 MEASURE_SKIP_FRACTION = 0.25
+#: Each branch and its number k: trigger k gates jammer k.
+BRANCHES = {"band3": 1, "band40": 2}
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,11 @@ class PipelineConfig:
         object.__setattr__(self, "filter_order", check_filter_order(self.filter_order))
         for name, value in {"gain": self.jammer3.gain, **asdict(self.jammer3.noise)}.items():
             object.__setattr__(self, name, value)  # as jammer3 checked and stored it
-        self.jammer40  # checks seed+1
+        check_field(self, "seed", 0, MAX_SEED - 1, integer=True)  # the Band 40 seed is seed+1
 
     @property
     def measure_skip_fraction(self) -> float:
-        """`MEASURE_SKIP_FRACTION`, the same for every config."""
+        """`MEASURE_SKIP_FRACTION`; kept only for the perfbench harness."""
         return MEASURE_SKIP_FRACTION
 
     def _jammer(self, seed: int) -> JammerConfig:
@@ -131,22 +136,54 @@ class Scenario:
                                    f"{MAX_TOTAL_AMPLITUDE:g} V limit", "amplitude")
 
 
+@dataclass(frozen=True)
+class BranchReport:
+    """One branch's outcome: its gate, its jammer's output, and after the skip region the
+    gate's modal level, whether the gate held it throughout, and the jammer's RMS.  An idle
+    branch's gate and jammer are its pipeline's shared read-only zeros, one array."""
+
+    gate: GateLine
+    jammer: SignalBuffer
+    level: float
+    stable: bool
+    rms: float
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    """Measured per-branch outcome of one scenario run; filters 2-4 are its only filter buffers.
+    """One scenario run: its input, filters 2-4 (`rows`, its only filter buffers) by name,
+    and each branch's `BranchReport` under its `BRANCHES` name."""
 
-    An idle branch's gate and jammer are its pipeline's shared read-only zeros, one array.
-    """
+    input: SignalBuffer
+    rows: Mapping[str, SignalBuffer]
+    branches: Mapping[str, BranchReport]
 
-    trigger1_level: float
-    trigger2_level: float
-    trigger1_stable: bool
-    trigger2_stable: bool
-    jammer1_rms: float
-    jammer2_rms: float
-    branch_buffers: Mapping[str, SignalBuffer]
-    gates: Mapping[str, GateLine]
-    verdicts: Mapping[str, bool]
+    @property
+    def verdicts(self) -> dict[str, bool]:
+        """Whether each branch jams: its settled gate level is its trigger's high level."""
+        return {name: b.level == b.gate.high_level for name, b in self.branches.items()}
+
+    @property
+    def gates(self) -> dict[str, GateLine]:
+        """Branch k's gate as ``trigger{k}``; kept only for the perfbench harness."""
+        return {f"trigger{k}": self.branches[name].gate for name, k in BRANCHES.items()}
+
+    @property
+    def branch_buffers(self) -> dict[str, SignalBuffer]:
+        """The input, rows and branch k's jammer as ``jammer{k}``; kept only for the
+        perfbench harness."""
+        return {"input": self.input, **self.rows,
+                **{f"jammer{k}": self.branches[name].jammer for name, k in BRANCHES.items()}}
+
+    @property
+    def jammer1_rms(self) -> float:
+        """Branch 1's settled jammer RMS; kept only for the perfbench harness."""
+        return self.branches["band3"].rms
+
+    @property
+    def jammer2_rms(self) -> float:
+        """Branch 2's settled jammer RMS; kept only for the perfbench harness."""
+        return self.branches["band40"].rms
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +194,8 @@ class Pipeline:
     filters: tuple[FilterStages, ...] = field(init=False)
     #: Filters 2-4, the wired ones, planned once as one bank; `run_scenario` runs them from it.
     _bank: _BankPlan = field(init=False, repr=False)
-    #: An idle branch's gate and jammer, one read-only zero array, then level, stable, RMS.
-    _idle: tuple = field(init=False, repr=False)
+    #: An idle branch's gate and jammer, one read-only zero array.
+    _idle: tuple[GateLine, SignalBuffer] = field(init=False, repr=False)
 
     def __post_init__(self):
         cfg = _check_kind(self.config, "config", PipelineConfig)
@@ -167,7 +204,7 @@ class Pipeline:
         object.__setattr__(self, "_bank", _plan_bank(self.filters[1:]))
         silent = SignalBuffer(_Owned(np.zeros(cfg.n_samples)), cfg.sample_rate)
         low = GateLine(_Owned(silent.samples), silent.sample_rate, cfg.trigger.high_level)
-        object.__setattr__(self, "_idle", (low, silent, 0.0, True, 0.0))
+        object.__setattr__(self, "_idle", (low, silent))
 
 
 def build_pipeline(config: PipelineConfig) -> Pipeline:
@@ -178,7 +215,7 @@ def build_pipeline(config: PipelineConfig) -> Pipeline:
 def _settle(gate: GateLine, jammed: SignalBuffer, skip: float) -> tuple[float, bool, float]:
     """Modal gate level after the skip region, whether it was constant, and the jammer's RMS
     there."""
-    tail = gate.levels[int(skip * len(gate)):]
+    tail = gate.samples[int(skip * len(gate)):]
     n_high = int(np.count_nonzero(tail))
     level = gate.high_level if n_high > tail.size - n_high else 0.0
     stable = n_high == 0 or n_high == tail.size
@@ -186,50 +223,27 @@ def _settle(gate: GateLine, jammed: SignalBuffer, skip: float) -> tuple[float, b
 
 
 def _branch(pipeline: Pipeline, detected: SignalBuffer, jammed: SignalBuffer,
-            jammer: JammerConfig) -> tuple[GateLine, SignalBuffer, float, bool, float]:
+            jammer: JammerConfig) -> BranchReport:
     """Trigger on `detected`, jam `jammed` through its gate, settle both.  The envelope's
     largest sample is the peak |x|, so a peak at or below the threshold keeps the gate low
-    and the jammer silent: that branch returns the pipeline's idle outcome and runs neither."""
+    and the jammer silent: that branch reports the pipeline's idle zeros and runs neither."""
     cfg, x = pipeline.config, detected.samples
     if max(x.max(), -x.min()) <= cfg.trigger.threshold:
-        return pipeline._idle
+        return BranchReport(*pipeline._idle, 0.0, True, 0.0)
     gate = trigger_chain(detected, cfg.trigger)
     out = jam(jammed, gate, jammer)
-    return (gate, out, *_settle(gate, out, MEASURE_SKIP_FRACTION))
+    return BranchReport(gate, out, *_settle(gate, out, MEASURE_SKIP_FRACTION))
 
 
 def run_scenario(pipeline: Pipeline, scenario: Scenario) -> ScenarioReport:
     """Render the input, run every branch, measure the settled outcome."""
     cfg = pipeline.config
-
     source = multi_tone(scenario.tones, cfg.sample_rate, cfg.n_samples)
-    band3_uplink, band3_downlink, band40 = _run_bank(pipeline._bank, source)
-
-    gate1, jam1, level1, stable1, rms1 = _branch(pipeline, band3_uplink, band3_downlink,
-                                                 cfg.jammer3)
-    gate2, jam2, level2, stable2, rms2 = _branch(pipeline, band40, band40, cfg.jammer40)
-
-    return ScenarioReport(
-        trigger1_level=level1,
-        trigger2_level=level2,
-        trigger1_stable=stable1,
-        trigger2_stable=stable2,
-        jammer1_rms=rms1,
-        jammer2_rms=rms2,
-        branch_buffers={
-            "input": source,
-            "filter2": band3_uplink,
-            "filter3": band3_downlink,
-            "filter4": band40,
-            "jammer1": jam1,
-            "jammer2": jam2,
-        },
-        gates={"trigger1": gate1, "trigger2": gate2},
-        verdicts={
-            "band3": level1 == cfg.trigger.high_level,
-            "band40": level2 == cfg.trigger.high_level,
-        },
-    )
+    uplink, downlink, tdd = rows = _run_bank(pipeline._bank, source)
+    # Branch k's detected row, jammed row and jammer, at index k - 1.
+    wiring = ((uplink, downlink, cfg.jammer3), (tdd, tdd, cfg.jammer40))
+    branches = {name: _branch(pipeline, *wiring[k - 1]) for name, k in BRANCHES.items()}
+    return ScenarioReport(source, {f"filter{k}": row for k, row in enumerate(rows, 2)}, branches)
 
 
 def builtin_scenarios() -> list[Scenario]:

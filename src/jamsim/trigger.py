@@ -62,7 +62,7 @@ class GateLine(SignalBuffer):
 
     @property
     def levels(self) -> np.ndarray:
-        """The gate's samples, by the comparator's name for them."""
+        """The gate's samples; kept only for the perfbench harness."""
         return self.samples
 
 

@@ -15,7 +15,8 @@ import pytest
 from jamsim.analysis import power_spectrum, rms
 from jamsim.cli import run_cli
 from jamsim.filterbank import BAND_FILTER_SPECS, apply_filter, frequency_response
-from jamsim.pipeline import Scenario, build_pipeline, builtin_scenarios, default_pipeline_config, run_scenario
+from jamsim.pipeline import (BRANCHES, Scenario, build_pipeline, builtin_scenarios,
+                             default_pipeline_config, run_scenario)
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.signal_core import SignalBuffer, ToneSpec, multi_tone
 from jamsim.trigger import TriggerConfig, default_envelope_window, trigger_chain
@@ -42,15 +43,15 @@ def test_criterion_1_scenario_truth_table():
         elapsed = time.perf_counter() - started
 
         expected = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
-        got = [(r.trigger1_level, r.trigger2_level) for r in reports]
+        got = [tuple(b.level for b in r.branches.values()) for r in reports]
         assert got == expected
         for report, (lvl1, lvl2) in zip(reports, expected):
             assert report.verdicts == {"band3": lvl1 == 5.0, "band40": lvl2 == 5.0}
-            for level, jam_rms in ((lvl1, report.jammer1_rms), (lvl2, report.jammer2_rms)):
-                if level == 5.0:
-                    assert jam_rms > 1.0
+            for branch in report.branches.values():
+                if branch.level == 5.0:
+                    assert branch.rms > 1.0
                 else:
-                    assert jam_rms < 0.05
+                    assert branch.rms < 0.05
         assert elapsed < 5.0
 
 
@@ -95,7 +96,7 @@ def test_criterion_4_trigger_contract():
         cfg, no_envelope = TriggerConfig(), TriggerConfig(envelope_window=1)
         for level, expected in ((1.2, 5.0), (0.5, 0.0), (1.0, 0.0)):
             gate = trigger_chain(SignalBuffer(np.full(256, level), FS), no_envelope)
-            assert np.all(gate.levels == expected)
+            assert np.all(gate.samples == expected)
 
         # A detected 2 V in-band tone holds the gate at 5 V with zero
         # dropouts once the envelope window has filled.
@@ -103,16 +104,16 @@ def test_criterion_4_trigger_contract():
         filters = build_pipeline(default_pipeline_config()).filters
         tone = multi_tone([ToneSpec(1747.5e6, 2.0)], FS, N)
         gate = trigger_chain(apply_filter(filters[1], tone), cfg)
-        first_high = int(np.argmax(gate.levels > 0.0))
-        assert gate.levels[first_high] == 5.0
+        first_high = int(np.argmax(gate.samples > 0.0))
+        assert gate.samples[first_high] == 5.0
         assert first_high < N // 4
         settle = max(first_high, window)
-        assert np.all(gate.levels[settle:] == 5.0)
+        assert np.all(gate.samples[settle:] == 5.0)
 
         # Same contract on the raw (unfiltered) tone: high from the
         # moment the window fills.
         raw_gate = trigger_chain(tone, cfg)
-        assert np.all(raw_gate.levels[window:] == 5.0)
+        assert np.all(raw_gate.samples[window:] == 5.0)
 
 
 def test_criterion_5_gating_exactness():
@@ -128,14 +129,14 @@ def test_criterion_5_gating_exactness():
                 for _ in range(rnd.randint(1, 4))
             )
             report = run_scenario(pipeline, Scenario(name=f"oob{case}", tones=tones))
-            assert np.all(report.branch_buffers["jammer1"].samples == 0.0)
-            assert np.all(report.branch_buffers["jammer2"].samples == 0.0)
+            for branch in report.branches.values():
+                assert np.all(branch.jammer.samples == 0.0)
 
 
 def _check_rectifier_properties():
     # The rectifier seen through a one-sample envelope: idempotent, sign-blind, scale-covariant.
     def gate(xs):
-        return trigger_chain(SignalBuffer(xs, FS), TriggerConfig(50.0, 100.0, 1)).levels
+        return trigger_chain(SignalBuffer(xs, FS), TriggerConfig(50.0, 100.0, 1)).samples
 
     rnd = np.random.default_rng(5)
     for _ in range(20):
@@ -192,7 +193,7 @@ def _check_sweep_selectivity():
     for f_mhz in np.arange(1600.0, 2500.0 + step, step):
         scenario = Scenario(name="sweep", tones=(ToneSpec(f_mhz * 1e6, 2.0),))
         report = run_scenario(pipeline, scenario)
-        fired = {1: report.trigger1_level == 5.0, 2: report.trigger2_level == 5.0}
+        fired = {k: report.branches[name].level == 5.0 for name, k in BRANCHES.items()}
         for which, (low, high) in bands.items():
             if low + step <= f_mhz <= high - step:
                 assert fired[which], f"{f_mhz} MHz must fire trigger{which}"

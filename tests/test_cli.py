@@ -38,6 +38,13 @@ class TestRun:
         manifest = read_manifest(out)
         assert manifest["verdicts"] == {"band3": True, "band40": True}
         assert manifest["results"]["jammer1_rms_v"] > 1.0
+        # The digest test pins these keys on one platform only; this pins them everywhere.
+        assert manifest["results"].keys() == {
+            "trigger1_level_v", "trigger2_level_v", "trigger1_stable", "trigger2_stable",
+            "jammer1_rms_v", "jammer2_rms_v"}
+        assert manifest["outputs"] == {
+            "jammer1": "jammer1.csv", "jammer2": "jammer2.csv", "trigger1": "trigger1.csv",
+            "trigger2": "trigger2.csv", "input_spectrum": "input_spectrum.csv"}
 
     def test_scenario_file_run(self, tmp_path, capsys):
         out = tmp_path / "d"

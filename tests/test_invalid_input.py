@@ -348,6 +348,9 @@ class TestTypedConfigErrors:
         with pytest.raises(InvalidParameter) as err:
             PipelineConfig(seed=seed)
         assert err.value.fields == ("seed",)
+        assert str(err.value).endswith(f"got {seed}")
+        if seed == MAX_SEED:  # a larger seed fails the Band 3 noise seed's range first
+            assert "<= 18446744073709551614," in str(err.value)
 
     def test_noise_seeds_span_64_bits(self):
         assert NoiseSpec(seed=MAX_SEED).seed == MAX_SEED

@@ -96,7 +96,7 @@ def whole_buffer_jam(signal, gate, config):
     g = gaussian_stream(noise.gaussian_sigma, noise.seed, n)
     r = rayleigh_stream(noise.rayleigh_sigma, noise.seed, n)
     active = config.gain * signal.samples + g + r
-    return np.where(gate.levels > 0.0, active, 0.0)
+    return np.where(gate.samples > 0.0, active, 0.0)
 
 
 def _levels(n, *runs):

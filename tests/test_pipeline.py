@@ -1,7 +1,7 @@
 import runpy
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,9 @@ from jamsim.filterbank import (
 )
 from jamsim.jammer import JammerConfig, jam
 from jamsim.pipeline import (
+    BRANCHES,
     MEASURE_SKIP_FRACTION,
+    BranchReport,
     PipelineConfig,
     Scenario,
     _branch,
@@ -108,8 +110,8 @@ class TestPipelineFollowsItsConfig:
         got = run_scenario(replace(pipeline, config=config), scenario)
         want = run_scenario(build_pipeline(config), scenario)
         assert got.verdicts == want.verdicts == {"band3": verdict, "band40": verdict}
-        assert (got.jammer1_rms, got.jammer2_rms) == (want.jammer1_rms, want.jammer2_rms)
-        assert got.branch_buffers == want.branch_buffers
+        assert got.branches == want.branches
+        assert (got.input, got.rows) == (want.input, want.rows)
 
 
 class TestBuiltinScenarios:
@@ -140,60 +142,55 @@ class TestBuiltinScenarios:
 
 
 class TestRunScenario:
+    @staticmethod
+    def assert_fires(report, fires):
+        """Each branch settles high and jams exactly when `fires` says so."""
+        for name, branch in report.branches.items():
+            assert branch.level == (5.0 if fires[name] else 0.0), name
+            assert (branch.rms > 1.0) if fires[name] else (branch.rms < 0.05), name
+        assert report.verdicts == fires
+
     def test_out_of_band_input_stays_idle(self, pipeline):
         report = run_scenario(pipeline, builtin_scenarios()[0])
-        assert report.trigger1_level == 0.0
-        assert report.trigger2_level == 0.0
-        assert report.jammer1_rms < 0.05
-        assert report.jammer2_rms < 0.05
-        assert report.verdicts == {"band3": False, "band40": False}
+        self.assert_fires(report, {"band3": False, "band40": False})
 
     def test_band3_input_fires_only_jammer1(self, pipeline):
         report = run_scenario(pipeline, builtin_scenarios()[1])
-        assert report.trigger1_level == 5.0
-        assert report.trigger2_level == 0.0
-        assert report.jammer1_rms > 1.0
-        assert report.jammer2_rms < 0.05
-        assert report.verdicts == {"band3": True, "band40": False}
+        self.assert_fires(report, {"band3": True, "band40": False})
 
     def test_both_bands_fire_both_jammers(self, pipeline):
         report = run_scenario(pipeline, builtin_scenarios()[3])
-        assert report.trigger1_level == 5.0
-        assert report.trigger2_level == 5.0
-        assert report.jammer1_rms > 1.0
-        assert report.jammer2_rms > 1.0
-        assert report.verdicts == {"band3": True, "band40": True}
+        self.assert_fires(report, {"band3": True, "band40": True})
 
     def test_silence_keeps_everything_at_zero(self, pipeline):
         report = run_scenario(pipeline, Scenario(name="silence", tones=()))
-        assert report.trigger1_level == 0.0
-        assert report.trigger2_level == 0.0
-        assert np.all(report.branch_buffers["jammer1"].samples == 0.0)
-        assert np.all(report.branch_buffers["jammer2"].samples == 0.0)
+        for branch in report.branches.values():
+            assert branch.level == 0.0
+            assert np.all(branch.jammer.samples == 0.0)
 
     def test_silence_gives_positive_zeros_in_every_branch(self, pipeline):
         report = run_scenario(pipeline, Scenario(name="silence", tones=()))
-        for name, buffer in report.branch_buffers.items():
-            assert buffer.samples.tobytes() == bytes(buffer.samples.nbytes), name  # +0.0 only
+        buffers = [report.input, *report.rows.values(),
+                   *(branch.jammer for branch in report.branches.values())]
+        for buffer in buffers:
+            assert buffer.samples.tobytes() == bytes(buffer.samples.nbytes)  # +0.0 only
 
     def test_jamming_happens_exactly_when_its_trigger_fires(self, pipeline):
         for seed in (1, 2, 3):
             cfg = default_pipeline_config(seed=seed)
             p = build_pipeline(cfg)
             for scenario in builtin_scenarios():
-                report = run_scenario(p, scenario)
-                assert (report.jammer1_rms > 0.5) == (report.trigger1_level == 5.0)
-                assert (report.jammer2_rms > 0.5) == (report.trigger2_level == 5.0)
+                for branch in run_scenario(p, scenario).branches.values():
+                    assert (branch.rms > 0.5) == (branch.level == 5.0)
 
     @pytest.mark.parametrize("n", [4096, 2**17 + 1])
     def test_full_band_filter_is_not_run_but_given_on_demand(self, n):
         pipeline = build_pipeline(default_pipeline_config(n_samples=n))
         report = run_scenario(pipeline, builtin_scenarios()[1])
-        assert set(report.branch_buffers) == {
-            "input", "filter2", "filter3", "filter4", "jammer1", "jammer2"}
-        assert set(report.gates) == {"trigger1", "trigger2"}
+        assert set(report.rows) == {"filter2", "filter3", "filter4"}
+        assert set(report.branches) == set(BRANCHES) == {"band3", "band40"}
         assert np.array_equal(pipeline._bank.state_in, _plan_bank(pipeline.filters[1:]).state_in)
-        source = report.branch_buffers["input"]
+        source = report.input
         full_band = apply_filter(pipeline.filters[0], source)
         # Both Band 3 tones pass the full-band filter.
         assert np.abs(full_band.samples[1024:]).max() > 1.0
@@ -204,13 +201,13 @@ class TestRunScenario:
     def test_marginal_tone_is_reported_unstable_not_resolved_silently(self, pipeline):
         # Just outside the TDD band edge the envelope straddles the
         # threshold, so the gate chatters: the report must say so.
-        report = run_scenario(pipeline, single_tone_scenario(2415.0))
-        assert not report.trigger2_stable
-        assert report.trigger2_level in (0.0, 5.0)
+        band40 = run_scenario(pipeline, single_tone_scenario(2415.0)).branches["band40"]
+        assert not band40.stable
+        assert band40.level in (0.0, 5.0)
 
     def test_settled_gates_are_flagged_stable(self, pipeline):
         report = run_scenario(pipeline, builtin_scenarios()[1])
-        assert report.trigger1_stable and report.trigger2_stable
+        assert all(branch.stable for branch in report.branches.values())
 
     def test_tone_above_nyquist_is_rejected_at_run_time(self, pipeline):
         with pytest.raises(InvalidParameter, match="Nyquist"):
@@ -243,25 +240,22 @@ class TestSettledJammerRms:
         scenarios = builtin_scenarios() + generated_scenarios(3, 2)  # two of each cell
         for scenario in scenarios:
             report = run_scenario(pipeline, scenario)
-            rows = report.branch_buffers
-            for k, detected, jammed, jammer in ((1, "filter2", "filter3", cfg.jammer3),
-                                               (2, "filter4", "filter4", cfg.jammer40)):
+            rows = report.rows
+            for name, detected, jammed, jammer in (("band3", "filter2", "filter3", cfg.jammer3),
+                                                  ("band40", "filter4", "filter4", cfg.jammer40)):
                 gate = trigger_chain(rows[detected], cfg.trigger)
                 out = jam(rows[jammed], gate, jammer)
                 level, stable, settled_rms = _settle(gate, out, MEASURE_SKIP_FRACTION)
-                got_gate, got_out = report.gates[f"trigger{k}"], rows[f"jammer{k}"]
-                where = (scenario.name, k)
-                assert got_gate.levels.tobytes() == gate.levels.tobytes(), where
-                assert (got_gate.sample_rate, got_gate.high_level) == (
+                got, where = report.branches[name], (scenario.name, name)
+                assert got.gate.samples.tobytes() == gate.samples.tobytes(), where
+                assert (got.gate.sample_rate, got.gate.high_level) == (
                     gate.sample_rate, gate.high_level), where
-                assert got_out.samples.tobytes() == out.samples.tobytes(), where
-                assert got_out.sample_rate == out.sample_rate, where
-                got = (getattr(report, f"trigger{k}_level"), getattr(report, f"trigger{k}_stable"),
-                       getattr(report, f"jammer{k}_rms"))
-                assert (got[0].hex(), got[1], got[2].hex()) == (
+                assert got.jammer.samples.tobytes() == out.samples.tobytes(), where
+                assert got.jammer.sample_rate == out.sample_rate, where
+                assert (got.level.hex(), got.stable, got.rms.hex()) == (
                     level.hex(), stable, settled_rms.hex()), where
-                assert got[2].hex() == rms(got_out, MEASURE_SKIP_FRACTION).hex(), where
-                idle_branches += got_gate is pipeline._idle[0]
+                assert got.rms.hex() == rms(got.jammer, MEASURE_SKIP_FRACTION).hex(), where
+                idle_branches += got.gate is pipeline._idle[0]
         assert 0 < idle_branches < 2 * len(scenarios)  # both paths ran
 
 
@@ -277,18 +271,19 @@ class TestIdleBranch:
         samples[2000] = sign * (np.nextafter(threshold, np.inf) if above else threshold)
         detected = SignalBuffer(samples, cfg.sample_rate)
         jammed = SignalBuffer(np.random.default_rng(5).standard_normal(n), cfg.sample_rate)
-        gate, out, level, stable, settled_rms = _branch(pipeline, detected, jammed, cfg.jammer3)
+        branch = _branch(pipeline, detected, jammed, cfg.jammer3)
         want_gate = trigger_chain(detected, cfg.trigger)
         want_out = jam(jammed, want_gate, cfg.jammer3)
         want_level, want_stable, want_rms = _settle(want_gate, want_out, MEASURE_SKIP_FRACTION)
-        assert gate.levels.tobytes() == want_gate.levels.tobytes()
-        assert out.samples.tobytes() == want_out.samples.tobytes()
-        assert (level, stable, settled_rms.hex()) == (want_level, want_stable, want_rms.hex())
+        assert branch.gate.samples.tobytes() == want_gate.samples.tobytes()
+        assert branch.jammer.samples.tobytes() == want_out.samples.tobytes()
+        assert (branch.level, branch.stable, branch.rms.hex()) == (
+            want_level, want_stable, want_rms.hex())
         # Only a peak past the threshold opens the gate (for a few samples after it, so the
         # gate is unstable); a peak at the threshold is the idle outcome.
-        assert (gate is pipeline._idle[0]) is not above
-        assert bool(np.count_nonzero(gate.levels)) is above
-        assert (level, stable) == (0.0, not above)
+        assert (branch.gate is pipeline._idle[0]) is not above
+        assert bool(np.count_nonzero(branch.gate.samples)) is above
+        assert (branch.level, branch.stable) == (0.0, not above)
 
     def test_an_idle_run_calls_no_trigger_and_no_jammer(self, monkeypatch):
         pipeline = build_pipeline(default_pipeline_config())
@@ -302,41 +297,45 @@ class TestIdleBranch:
         for scenario, before in zip(scenarios, want):
             report = run_scenario(pipeline, scenario)
             assert report.verdicts == {"band3": False, "band40": False}, scenario.name
-            assert all(report.gates[k] is before.gates[k] is pipeline._idle[0]
-                       for k in ("trigger1", "trigger2")), scenario.name
+            assert all(report.branches[name].gate is before.branches[name].gate
+                       is pipeline._idle[0] for name in BRANCHES), scenario.name
 
     def test_idle_objects_are_read_only_and_shared(self, pipeline):
         first, second = (run_scenario(pipeline, builtin_scenarios()[0]) for _ in range(2))
-        gate, silent = first.gates["trigger1"], first.branch_buffers["jammer1"]
-        for report in (first, second):
-            assert report.gates["trigger1"] is gate and report.gates["trigger2"] is gate
-            assert report.branch_buffers["jammer1"] is silent
-            assert report.branch_buffers["jammer2"] is silent
-        assert gate.levels is silent.samples  # one zero array for the gate and the jammer
-        assert not gate.levels.flags.writeable
+        gate, silent = pipeline._idle
+        records = [*first.branches.values(), *second.branches.values()]
+        assert len({id(branch) for branch in records}) == len(records) == 4
+        for branch in records:
+            assert isinstance(branch, BranchReport)
+            assert branch.gate is gate and branch.jammer is silent
+            assert (branch.level, branch.stable, branch.rms) == (0.0, True, 0.0)
+            with pytest.raises(FrozenInstanceError):
+                branch.level = 5.0
+        assert gate.samples is silent.samples  # one zero array for the gate and the jammer
+        assert not gate.samples.flags.writeable
         with pytest.raises(ValueError):
             silent.samples[0] = 1.0
         assert silent.samples.tobytes() == bytes(8 * pipeline.config.n_samples)
         # A band 3 run leaves only the band 40 branch idle.
-        band3 = run_scenario(pipeline, builtin_scenarios()[1])
-        assert band3.gates["trigger2"] is gate and band3.gates["trigger1"] is not gate
+        band3 = run_scenario(pipeline, builtin_scenarios()[1]).branches
+        assert band3["band40"].gate is gate and band3["band3"].gate is not gate
 
     def test_a_replaced_config_gets_its_own_idle_objects(self, pipeline):
         longer = replace(pipeline, config=replace(pipeline.config, n_samples=5000))
-        report = run_scenario(longer, builtin_scenarios()[0])
-        gate = report.gates["trigger1"]
-        assert gate is longer._idle[0] and gate is not pipeline._idle[0]
-        assert len(gate) == len(report.branch_buffers["jammer2"]) == 5000
+        band3, band40 = run_scenario(longer, builtin_scenarios()[0]).branches.values()
+        assert band3 is not band40
+        assert band3.gate is band40.gate is longer._idle[0] and band3.gate is not pipeline._idle[0]
+        assert band3.gate.samples is band40.jammer.samples
+        assert len(band3.gate) == len(band40.jammer) == 5000
         assert len(pipeline._idle[0]) == pipeline.config.n_samples
 
     def test_two_threads_get_the_bytes_of_serial_runs(self, pipeline):
         scenarios = [builtin_scenarios()[0], builtin_scenarios()[3]]  # none and both
 
         def fingerprint(report):
-            return ([buf.samples.tobytes() for buf in report.branch_buffers.values()]
-                    + [gate.levels.tobytes() for gate in report.gates.values()]
-                    + [report.jammer1_rms, report.jammer2_rms, report.trigger1_stable,
-                       report.trigger2_stable, report.trigger1_level, report.trigger2_level])
+            return ([buf.samples.tobytes() for buf in (report.input, *report.rows.values())]
+                    + [(b.gate.samples.tobytes(), b.jammer.samples.tobytes(), b.level, b.stable,
+                        b.rms) for b in report.branches.values()])
 
         serial = [fingerprint(run_scenario(pipeline, s)) for s in scenarios]
         results, errors = [[] for _ in range(4)], []  # more callers than CPUs
@@ -368,10 +367,10 @@ class TestSweepSpotChecks:
         (1700.0, False), (1715.0, True), (1780.0, True), (1795.0, False)])
     def test_band3_uplink_edges(self, pipeline, freq_mhz, fires):
         report = run_scenario(pipeline, single_tone_scenario(freq_mhz))
-        assert (report.trigger1_level == 5.0) == fires
+        assert (report.branches["band3"].level == 5.0) == fires
 
     @pytest.mark.parametrize("freq_mhz,fires", [
         (2295.0, False), (2310.0, True), (2400.0, True), (2415.0, False)])
     def test_band40_edges(self, pipeline, freq_mhz, fires):
         report = run_scenario(pipeline, single_tone_scenario(freq_mhz))
-        assert (report.trigger2_level == 5.0) == fires
+        assert (report.branches["band40"].level == 5.0) == fires

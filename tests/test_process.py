@@ -64,9 +64,12 @@ hashes = {f"filter{k}": digest(jamsim.apply_filter(stages, x).samples)
           for k, stages in enumerate(pipeline.filters, 1)}
 long_run = jamsim.build_pipeline(jamsim.default_pipeline_config(n_samples=2**20 + 5))
 report = jamsim.run_scenario(long_run, jamsim.builtin_scenarios()[3])
-hashes.update({f"run.{name}": digest(buf.samples) for name, buf in report.branch_buffers.items()})
-hashes.update({f"run.{name}": digest(gate.levels) for name, gate in report.gates.items()})
-hashes["run.rms"] = repr((report.jammer1_rms, report.jammer2_rms))
+hashes.update({f"run.{name}": digest(buf.samples)
+               for name, buf in {"input": report.input, **report.rows}.items()})
+for name, branch in report.branches.items():
+    hashes.update({f"run.{name}.gate": digest(branch.gate.samples),
+                   f"run.{name}.jammer": digest(branch.jammer.samples),
+                   f"run.{name}.rms": repr(branch.rms)})
 out = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     assert run_cli(["run", "--builtin", "4", "--out", out, "--reproducible"]) == 0
@@ -81,5 +84,5 @@ def test_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     default = json.loads(run_python(OUTPUT_HASHES, str(tmp_path / "default"), "free"))
     single = json.loads(run_python(OUTPUT_HASHES, str(tmp_path / "single"), "pin",
                                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
-    assert "manifest.json" in default and "filter4" in default and "run.jammer2" in default
+    assert "manifest.json" in default and "filter4" in default and "run.band40.jammer" in default
     assert single == default

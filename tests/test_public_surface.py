@@ -3,8 +3,9 @@
 perfbench's tracer skips a target it cannot find, so a renamed or deleted
 function would silently leave its per-layer span at zero calls.  The
 benchmark's set-up code, its worker's pipeline config and its sweep's
-check pass call jamsim directly: a name gone from there fails the benchmark
-run, not the tests, so each is run here once on a tiny input.
+check pass call jamsim directly, and its tracer counts the samples of a
+`run_scenario` report: a name gone from there fails the benchmark run, not
+the tests, so each is run here once on a tiny input.
 """
 
 import ast
@@ -15,9 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from jamsim import Pipeline, PipelineConfig, builtin_scenarios, run_scenario
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: (defining module, function, span name, sample counter) per traced function.
-TARGETS = runpy.run_path(str(PERFBENCH / "tracing.py"), run_name="perfbench_tracing")["TARGETS"]
+TRACING = runpy.run_path(str(PERFBENCH / "tracing.py"), run_name="perfbench_tracing")
+TARGETS = TRACING["TARGETS"]
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +57,8 @@ def test_a_sweep_check_pass_over_a_tiny_pool_passes(worker):
     sweep.check_pass()
     assert (counter.attempted, counter.failed, counter.errors) == (4, 0, [])
     assert None not in sweep.fingerprints
+
+
+def test_the_tracer_counts_the_samples_of_a_real_report():
+    report = run_scenario(Pipeline(PipelineConfig(n_samples=256)), builtin_scenarios()[3])
+    assert TRACING["_run_scenario_samples"]((), {}, report) == 256

@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 
 from jamsim.cli import SEED_ENV_VAR, run_cli
-from jamsim.pipeline import Pipeline, PipelineConfig, builtin_scenarios, run_scenario
+from jamsim.pipeline import (BRANCHES, Pipeline, PipelineConfig, builtin_scenarios,
+                             run_scenario)
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -96,12 +97,15 @@ def digests(workdir: Path) -> dict:
         pipeline = Pipeline(PipelineConfig(n_samples=n))
         for i, scenario in enumerate(builtin_scenarios(), start=1):
             report = run_scenario(pipeline, scenario)
-            buffers = {**report.branch_buffers, **report.gates}
+            buffers = {"input": report.input, **report.rows}
+            for name, k in BRANCHES.items():
+                branch = report.branches[name]
+                buffers.update({f"jammer{k}": branch.jammer, f"trigger{k}": branch.gate})
+            outcome = tuple(getattr(branch, field) for field in ("level", "stable", "rms")
+                            for branch in report.branches.values())
             result[f"run_scenario builtin{i} n={n}"] = {
                 **{name: sha256(buf.samples.tobytes()) for name, buf in buffers.items()},
-                "outcome": repr((report.trigger1_level, report.trigger2_level,
-                                 report.trigger1_stable, report.trigger2_stable,
-                                 report.jammer1_rms, report.jammer2_rms, dict(report.verdicts))),
+                "outcome": repr((*outcome, report.verdicts)),
             }
     return result
 

@@ -134,22 +134,23 @@ def reference_run(pipeline, scenario):
     uplink, downlink, band40 = (reference_filter(stages, source) for stages in pipeline.filters[1:])
     gate1 = reference_trigger(uplink, cfg.trigger, fs)
     gate2 = reference_trigger(band40, cfg.trigger, fs)
-    buffers = {"input": source, "filter2": uplink, "filter3": downlink, "filter4": band40,
-               "jammer1": reference_jam(downlink, gate1, cfg.jammer3),
-               "jammer2": reference_jam(band40, gate2, cfg.jammer40)}
-    return buffers, {"trigger1": gate1, "trigger2": gate2}
+    rows = {"filter2": uplink, "filter3": downlink, "filter4": band40}
+    return source, rows, {"band3": (gate1, reference_jam(downlink, gate1, cfg.jammer3)),
+                          "band40": (gate2, reference_jam(band40, gate2, cfg.jammer40))}
 
 
 def assert_same_run(pipeline, scenario):
     report = jamsim.run_scenario(pipeline, scenario)
-    buffers, gates = reference_run(pipeline, scenario)
-    for name, samples in buffers.items():
-        assert report.branch_buffers[name].samples.tobytes() == samples.tobytes(), name
-    for name, levels in gates.items():
-        assert report.gates[name].levels.tobytes() == levels.tobytes(), name
+    source, rows, branches = reference_run(pipeline, scenario)
+    assert report.input.samples.tobytes() == source.tobytes()
+    for name, samples in rows.items():
+        assert report.rows[name].samples.tobytes() == samples.tobytes(), name
     fs = pipeline.config.sample_rate
-    for got, name in ((report.jammer1_rms, "jammer1"), (report.jammer2_rms, "jammer2")):
-        assert got == rms(jamsim.SignalBuffer(buffers[name], fs), MEASURE_SKIP_FRACTION)
+    for name, (gate, jammed) in branches.items():
+        got = report.branches[name]
+        assert got.gate.samples.tobytes() == gate.tobytes(), name
+        assert got.jammer.samples.tobytes() == jammed.tobytes(), name
+        assert got.rms == rms(jamsim.SignalBuffer(jammed, fs), MEASURE_SKIP_FRACTION), name
 
 
 @pytest.mark.parametrize("n", [4096, SPLIT - 1, SPLIT, SPLIT + 1, 2**20 + 3])
@@ -207,8 +208,9 @@ def test_concurrent_runs_give_the_serial_bytes():
     scenarios = jamsim.builtin_scenarios()
 
     def fingerprint(report):
-        return [buf.samples.tobytes() for buf in report.branch_buffers.values()] + [
-            gate.levels.tobytes() for gate in report.gates.values()]
+        return [buf.samples.tobytes() for buf in (report.input, *report.rows.values())] + [
+            buf.samples.tobytes() for branch in report.branches.values()
+            for buf in (branch.gate, branch.jammer)]
 
     serial = [fingerprint(jamsim.run_scenario(pipeline, s)) for s in scenarios]
     results = [None] * 8
@@ -390,8 +392,8 @@ def test_replacing_the_config_plans_the_new_filters():
                           np.concatenate([stages._plan.state_in for stages in twelve.filters[1:]]))
     report = jamsim.run_scenario(twelve, jamsim.builtin_scenarios()[3])
     for k, stages in enumerate(twelve.filters[1:], 2):
-        alone = jamsim.apply_filter(stages, report.branch_buffers["input"])
-        assert report.branch_buffers[f"filter{k}"].samples.tobytes() == alone.samples.tobytes()
+        alone = jamsim.apply_filter(stages, report.input)
+        assert report.rows[f"filter{k}"].samples.tobytes() == alone.samples.tobytes()
 
 
 def test_a_pipelines_plan_rejects_a_buffer_at_another_rate():

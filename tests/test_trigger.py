@@ -25,7 +25,7 @@ finite_buffers = hnp.arrays(np.float64, st.integers(1, 256),
 
 def rectify_compare(signal, threshold=DEFAULT_THRESHOLD):
     """The rectifier and comparator alone: `trigger_chain` with a one-sample envelope."""
-    return trigger_chain(signal, TriggerConfig(threshold, envelope_window=1)).levels
+    return trigger_chain(signal, TriggerConfig(threshold, envelope_window=1)).samples
 
 
 class TestRectifier:
@@ -85,7 +85,7 @@ class TestEnvelope:
         # over at least one period stays within 0.1% of the peak.
         buf = multi_tone([ToneSpec(1e6, 2.0, phase=np.pi / 2.0)], 1e9, 5000)
         gate = trigger_chain(buf, TriggerConfig(2.0 * (1.0 - 1e-3), envelope_window=1000))
-        assert np.all(gate.levels == 5.0)
+        assert np.all(gate.samples == 5.0)
 
     def test_increasing_input_is_unchanged(self):
         xs = np.cumsum(np.abs(np.random.default_rng(1).normal(size=100)))
@@ -164,21 +164,21 @@ class TestTriggerChain:
         uplink = design_bandpass(BAND_FILTER_SPECS[1], FS)
         tone = multi_tone([ToneSpec(1.74e9, 2.0)], FS, 4096)
         gate = trigger_chain(apply_filter(uplink, tone), TriggerConfig())
-        first_high = int(np.argmax(gate.levels > 0.0))
-        assert gate.levels[first_high] == 5.0
+        first_high = int(np.argmax(gate.samples > 0.0))
+        assert gate.samples[first_high] == 5.0
         assert first_high < 1024  # fires during the filter ramp-up
-        assert np.all(gate.levels[first_high:] == 5.0)  # and never drops out
+        assert np.all(gate.samples[first_high:] == 5.0)  # and never drops out
 
     def test_silence_never_fires(self):
         gate = trigger_chain(SignalBuffer(np.zeros(4096), FS), TriggerConfig())
-        assert np.all(gate.levels == 0.0)
+        assert np.all(gate.samples == 0.0)
 
     def test_out_of_band_residue_stays_below_threshold(self):
         uplink = design_bandpass(BAND_FILTER_SPECS[1], FS)
         tones = [ToneSpec(f, 2.0) for f in (1.2e9, 1.5e9, 1.6e9, 3.0e9)]
         residue = apply_filter(uplink, multi_tone(tones, FS, 4096))
         gate = trigger_chain(residue, TriggerConfig())
-        assert np.all(gate.levels == 0.0)
+        assert np.all(gate.samples == 0.0)
 
 
 class TestConfigAndGate:
@@ -192,8 +192,8 @@ class TestConfigAndGate:
         default = trigger_chain(x, TriggerConfig())
         pinned = trigger_chain(x, TriggerConfig(envelope_window=9))
         assert TriggerConfig().envelope_window is None
-        assert int(np.count_nonzero(default.levels)) == 100 + default_envelope_window(FS) - 1
-        assert int(np.count_nonzero(pinned.levels)) == 100 + 9 - 1
+        assert int(np.count_nonzero(default.samples)) == 100 + default_envelope_window(FS) - 1
+        assert int(np.count_nonzero(pinned.samples)) == 100 + 9 - 1
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
