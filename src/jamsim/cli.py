@@ -184,18 +184,21 @@ def _is_response_csv(path: str) -> bool:
 def _atomic_output(target: str, is_ours, what: str):
     """Yield a path to write a file or directory at; on success, move it onto `target`.
 
-    An existing `target` that `is_ours` rejects is refused, on entry and again just before
-    the move; a replaced directory is moved aside until the new one is in place.  The path is
-    staged in the deepest directory that exists on the way to `target`, and the missing
-    parents are made only for the move, so a failed run leaves no directory behind.
+    `target` is resolved once, lexically (`''` is the current directory, `missing/..` the
+    directory it spells), and every step reads that one path.  An existing path that
+    `is_ours` rejects is refused, on entry and again just before the move; a replaced
+    directory is moved aside until the new one is in place.  The path is staged in the
+    deepest directory that exists on the way to it, and the missing parents are made only
+    for the move, so a failed run leaves no directory behind.
     """
+    path = os.path.abspath(target)
+
     def refuse_foreign():
-        if os.path.lexists(target) and not is_ours(target):
+        if os.path.lexists(path) and not is_ours(path):
             raise InvalidParameter(f"--out {target} exists and is not a jamsim {what}; "
                                    "refusing to replace it")
 
     refuse_foreign()
-    path = os.path.abspath(target)
     base = os.path.dirname(path)
     while not os.path.lexists(base):  # a file here fails the staging, before the run
         base = os.path.dirname(base)

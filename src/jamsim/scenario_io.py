@@ -26,8 +26,11 @@ A scenario file is a line-based key = value document::
     high_v = 5.0
     envelope_window = 6
 
-Blank lines and ``#`` comments are ignored.  Unknown sections or keys fail
-fast, and out-of-range values once the file is read, with the key's line number.
+Blank lines and ``#`` comments are ignored.  Each key appears once per section,
+or per tone, ``name`` included.  Integers are decimal, as ``int()`` reads them and
+as --seed and JAMSIM_SEED take them (``007``, ``1_000``; no ``0x10``, no ``7.0``).
+Unknown sections or keys and repeated keys fail fast, and out-of-range values
+once the file is read, with the key's line number.
 The [sim] seed feeds the Band 3 jammer; the Band 40 jammer takes seed+1.
 """
 
@@ -54,17 +57,11 @@ _SECTION_KEYS = {
     "trigger": {"threshold_v": "threshold", "high_v": "high_level",
                 "envelope_window": "envelope_window"},
 }
-_INT_KEYS = {"n_samples", "seed", "filter_order", "envelope_window"}
+_READ = {"name": str, "n_samples": int, "seed": int, "filter_order": int,
+         "envelope_window": int}  # how each key is read; any other as a float
 #: The [tones] key that starts a tone, and each field a file gives in other units.
 _TONE_KEY = next(iter(_SECTION_KEYS["tones"]))
 _SCALE = {"frequency": 1e6}  # file value * scale = field value
-
-
-def _parse_number(key: str, value: str, line: int) -> float | int:
-    try:
-        return int(value, 0) if key in _INT_KEYS else float(value)
-    except ValueError:
-        raise ParseError(f"cannot parse {key} value {value!r}", line) from None
 
 
 @contextmanager
@@ -82,10 +79,9 @@ def _blame(lines: dict[str, int]):
 def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
                         ) -> tuple[Scenario, PipelineConfig]:
     """Parse a scenario document into a fully resolved (Scenario, PipelineConfig)."""
-    name = "scenario"
     tones: list[tuple[dict[str, float], dict[str, int]]] = []  # each tone's fields, their lines
-    settings: dict[str, dict[str, float | int]] = {"sim": {}, "jammer": {}, "trigger": {}}
-    lines: dict[str, int] = {}  # [sim], [jammer] or [trigger] field -> the line that set it
+    settings: dict[str, dict] = {section: {} for section in _SECTION_KEYS if section != "tones"}
+    lines: dict[str, int] = {}  # a field outside [tones] -> the line that set it
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,10 +102,6 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
             raise ParseError(f"unknown key {key!r} in section [{section}]", lineno)
         if not value:
             raise ParseError(f"empty value for {key!r}", lineno)
-        if section == "scenario":
-            name = value
-            continue
-
         if section == "tones" and key == _TONE_KEY:
             tones.append(({}, {}))
         elif section == "tones" and not tones:
@@ -118,8 +110,11 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
         field = _SECTION_KEYS[section][key]
         if field in target:
             raise ParseError(f"duplicate key {key!r}", lineno)
-        number = _parse_number(key, value, lineno)
-        target[field] = number * _SCALE[field] if field in _SCALE else number
+        try:
+            parsed = _READ.get(key, float)(value)
+        except ValueError:
+            raise ParseError(f"cannot parse {key} value {value!r}", lineno) from None
+        target[field] = parsed * _SCALE[field] if field in _SCALE else parsed
         target_lines[field] = lineno
 
     with _blame(lines):
@@ -133,7 +128,8 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
                                 "frequency", "sample_rate")
         specs.append(tone)
     with _blame({f: line for _, own in tones for f, line in own.items()}):
-        scenario = Scenario(name=name, tones=tuple(specs))  # a sum: the last amplitude_v line
+        scenario = Scenario(**{"name": "scenario", **settings["scenario"]},
+                            tones=tuple(specs))  # a sum: the last amplitude_v line
     return scenario, config
 
 

@@ -80,10 +80,11 @@ class _Owned:
 
 def _as_readonly_f64(values, name: str) -> np.ndarray:
     try:
-        arr = (values.array if isinstance(values, _Owned)
-               else np.array(values, dtype=np.float64, copy=True).reshape(-1))
+        arr = values.array if isinstance(values, _Owned) else np.array(values, dtype=np.float64)
+        if arr.ndim != 1:  # a scalar or a nested sequence, which no buffer or axis is
+            raise ValueError(arr.ndim)
     except (TypeError, ValueError):
-        raise InvalidParameter(f"{name} must be real numbers", name) from None
+        raise InvalidParameter(f"{name} must be a 1-D sequence of real numbers", name) from None
     arr.setflags(write=False)
     return arr
 

@@ -1,11 +1,14 @@
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import jamsim.cli as cli
 from jamsim.cli import run_cli
@@ -373,6 +376,61 @@ class TestAtomicity:
             assert code == 0
             assert [p.name for p in tmp_path.iterdir()] == ["new"]
             assert {p.name for p in (tmp_path / "new" / "sub").iterdir()} == RUN_FILES
+
+
+class TestOutSpellings:
+    """Every spelling of --out is checked as the path it names, the path that is replaced."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--builtin", "1", "--out", ""],
+        ["run", "--builtin", "1", "--out", "missing/.."],
+        ["response", "--filter", "2", "--out", ""],
+        ["response", "--filter", "2", "--out", "missing/.."],
+    ])
+    def test_a_spelling_of_a_user_directory_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                        argv):
+        (tmp_path / "notes.txt").write_text("mine")
+        monkeypatch.chdir(tmp_path)
+        what = "output directory" if argv[0] == "run" else "response CSV"
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (f"jamsim: error: --out {argv[-1]} exists and is not "
+                                           f"a jamsim {what}; refusing to replace it\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+        assert (tmp_path / "notes.txt").read_text() == "mine"
+
+    #: A sandbox of directories, each holding a user file; the commands run in `START`.
+    TREE = ("a", "a/b", "a/b/c", "a/b/c/d", "a/e")
+    START = "a/b/c"
+    PARTS = ("", ".", "..", "d", "e", "b", "c", "notes.txt", "new", "new2", "out.csv")
+    COMMANDS = (["run", "--builtin", "4", "--samples", "64", "--out"],
+                ["response", "--filter", "2", "--out"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.sampled_from(PARTS), max_size=4), slash=st.booleans(),
+           commands=st.permutations(COMMANDS))
+    def test_no_spelling_touches_a_file_jamsim_did_not_write(self, parts, slash, commands):
+        spelling = "/".join(parts) + ("/" if slash else "")
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = os.path.realpath(tmp)
+            user = {}
+            for d in ("", *self.TREE):
+                os.makedirs(os.path.join(root, d), exist_ok=True)
+                user[os.path.join(root, d, "notes.txt")] = f"user file in /{d}\n".encode()
+            for path, data in user.items():
+                Path(path).write_bytes(data)
+            os.chdir(os.path.join(root, self.START))
+            try:
+                # Only paths strictly inside the sandbox, so no run can reach past it.
+                assume(os.path.abspath(spelling).startswith(root + os.sep))
+                for command in commands:
+                    assert run_cli([*command, spelling]) in (0, 1, 2)
+                    for path, data in user.items():
+                        assert os.path.isfile(path) and Path(path).read_bytes() == data, path
+                    assert not [d for _, dirs, _ in os.walk(root) for d in dirs
+                                if d.startswith(".jamsim-")]
+            finally:
+                os.chdir(home)
 
 
 class TestScenariosCommand:

@@ -366,6 +366,8 @@ class TestTypedConfigErrors:
         (lambda: Scenario(None, tones=()), "name"),
         (lambda: SignalBuffer(["x"], 10e9), "samples"),
         (lambda: SignalBuffer([[1.0], [2.0, 3.0]], 10e9), "samples"),
+        (lambda: SignalBuffer([[1.0, 2.0], [3.0, 4.0]], 10e9), "samples"),
+        (lambda: SignalBuffer(5.0, 10e9), "samples"),
         (lambda: SignalBuffer([1.0, float("nan")], 10e9), "samples"),
         (lambda: GateLine(["x"], 10e9), "samples"),
         (lambda: GateLine([0.0, 2.5], 10e9), "samples"),
@@ -378,9 +380,9 @@ class TestTypedConfigErrors:
         (lambda: Pipeline(None), "config"),
         (lambda: build_pipeline(None), "config"),
     ], ids=["tones-None", "tones-int", "tones-ToneSpec", "name-empty", "name-None",
-            "samples-str", "samples-ragged", "samples-nan", "gate-str", "gate-not-binary",
-            "gate-nan", "gate-inf", "trigger-None", "noise-None", "multi_tone-int",
-            "multi_tone-None", "Pipeline-None", "build_pipeline-None"])
+            "samples-str", "samples-ragged", "samples-2d", "samples-0d", "samples-nan",
+            "gate-str", "gate-not-binary", "gate-nan", "gate-inf", "trigger-None", "noise-None",
+            "multi_tone-int", "multi_tone-None", "Pipeline-None", "build_pipeline-None"])
     def test_a_constructor_names_the_argument_of_a_wrong_type(self, make, field):
         with pytest.raises(InvalidParameter) as err:
             make()

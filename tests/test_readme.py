@@ -1,5 +1,5 @@
-"""The README's Library example runs and prints what its comments say,
-and every call the README names in backticks exists.
+"""The README's Library example runs and prints what its comments say, each
+command of its CLI block runs, and every call the README names in backticks exists.
 
 Each ``print(...)  # value`` line is checked against the line it
 prints: exactly, or within 5 % for a ``# ~number unit`` comment.
@@ -11,11 +11,14 @@ import importlib
 import io
 import pkgutil
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
 import jamsim
+from jamsim.cli import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,6 +46,28 @@ def test_library_example_prints_what_it_documents():
             assert float(got) == pytest.approx(float(want[1:].split()[0]), rel=0.05)
         else:
             assert got == want
+
+
+def cli_commands() -> list[list[str]]:
+    """The arguments of each ``jamsim ...`` line of the CLI section's shell block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(.*?)```", text[text.index("\n## CLI\n"):], re.DOTALL).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("jamsim ")]
+
+
+def test_cli_example_commands_run(tmp_path, monkeypatch, capsys):
+    commands = cli_commands()
+    assert [argv[0] for argv in commands] == ["scenarios", "run", "run", "response"]
+    shutil.copytree(README.parent / "scenarios", tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    verdict = re.search(r"prints a verdict line such as `([^`]+)`",
+                        README.read_text(encoding="utf-8")).group(1)
+    for argv in commands:
+        capsys.readouterr()
+        assert run_cli(argv) == 0, argv
+        if argv[:3] == ["run", "--builtin", "2"]:
+            assert capsys.readouterr().out == verdict + "\n"
 
 
 def readme_calls() -> set[str]:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jamsim.cli as cli
 import jamsim.scenario_io as scenario_io
 from jamsim.analysis import DB_FLOOR, Spectrum, power_spectrum
 from jamsim.cli import run_cli
@@ -169,6 +170,47 @@ class TestParse:
     def test_duplicate_sim_key_rejected(self):
         with pytest.raises(ParseError, match="duplicate key"):
             parse_scenario_file("[sim]\nseed = 1\nseed = 2\n")
+
+    @pytest.mark.parametrize("section,key", [(section, key) for section, keys in
+                                             scenario_io._SECTION_KEYS.items() for key in keys])
+    def test_every_key_given_twice_fails_at_its_second_line(self, section, key):
+        head = "[tones]\nfreq_mhz = 1200\n" if section == "tones" else f"[{section}]\n"
+        text = head + f"{key} = 2\n" * 2
+        if key == scenario_io._TONE_KEY:  # it starts a tone, so no tone holds it twice
+            assert len(parse_scenario_file(text)[0].tones) == 3
+            return
+        with pytest.raises(ParseError, match=f"duplicate key '{key}'") as err:
+            parse_scenario_file(text)
+        assert err.value.line == head.count("\n") + 2
+
+    @pytest.mark.parametrize("spelling", ["7", "007", "+7", "1_000", " 12", "0x10", "0o17",
+                                          "0b11", "7.0", "1e3", "seven"])
+    @pytest.mark.parametrize("key", ["n_samples", "seed", "filter_order", "envelope_window"])
+    def test_an_integer_takes_the_spellings_of_the_seed_flag_and_variable(
+            self, monkeypatch, key, spelling):
+        def read(how):
+            try:
+                return how()
+            except InvalidParameter as exc:
+                return str(exc)
+
+        flag = read(lambda: cli._build_parser().parse_args(
+            ["run", "--builtin", "1", "--out", "d", "--seed", spelling]).seed)
+        monkeypatch.setenv(cli.SEED_ENV_VAR, spelling)
+        variable = read(cli._ambient_seed)
+        assert isinstance(flag, int) == isinstance(variable, int)
+        if isinstance(flag, int):
+            assert flag == variable == int(spelling)
+        section = next(s for s, keys in scenario_io._SECTION_KEYS.items() if key in keys)
+        text = f"[{section}]\n{key} = {spelling}\n"
+        parsed = read(lambda: parse_scenario_file(text))
+        if not isinstance(flag, int):
+            assert parsed == f"line 2: cannot parse {key} value {spelling.strip()!r}"
+        elif isinstance(parsed, tuple):
+            config = parsed[1].trigger if section == "trigger" else parsed[1]
+            assert scenario_io._file_values(config, section)[key] == flag
+        else:  # read, then out of its range: an odd filter order
+            assert parsed.startswith("line 2: filter order must be even") and flag % 2
 
     def test_line_without_equals_rejected(self):
         with pytest.raises(ParseError) as err:
