@@ -134,25 +134,20 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
 
 def _manifest(scenario: Scenario, config: PipelineConfig, report: ScenarioReport,
               reproducible: bool) -> dict:
-    """The run's settings under their scenario-file keys, then what it wrote and measured."""
+    """The run's settings under their file sections and keys, then what it wrote and measured."""
     created = REPRODUCIBLE_TIMESTAMP if reproducible else (
         datetime.now(timezone.utc).isoformat(timespec="seconds"))
-    sim, jammer = _file_values(config, "sim"), _file_values(config, "jammer")
     return {
         "tool": "jamsim",
         "version": __version__,
         "created_at": created,
-        "seed": sim.pop("seed"),  # taken out before config echoes the other [sim] keys
-        "scenario": {"name": scenario.name,
+        "scenario": {**_file_values(scenario, "scenario"),
                      "tones": [_file_values(tone, "tones") for tone in scenario.tones]},
-        "config": {
-            **sim,
-            "measure_skip_fraction": MEASURE_SKIP_FRACTION,
-            "trigger": _file_values(config.trigger, "trigger"),
-            "jammer3": {**jammer, "seed": config.jammer3.noise.seed},
-            "jammer40": {**jammer, "seed": config.jammer40.noise.seed},
-        },
+        "config": {**_file_values(config, "sim"),
+                   "trigger": _file_values(config.trigger, "trigger"),
+                   "jammer": _file_values(config, "jammer")},
         "outputs": {k: v for k, v in _RUN_OUTPUTS.items() if k != "manifest"},
+        "measure_skip_fraction": MEASURE_SKIP_FRACTION,
         "results": _per_branch(report, _RESULTS),
         "verdicts": report.verdicts,
     }
@@ -195,8 +190,8 @@ def _atomic_output(target: str, is_ours, what: str):
 
     def refuse_foreign():
         if os.path.lexists(path) and not is_ours(path):
-            raise InvalidParameter(f"--out {target} exists and is not a jamsim {what}; "
-                                   "refusing to replace it")
+            raise InvalidParameter(f"--out {target!r} ({path}) exists and is not a jamsim "
+                                   f"{what}; refusing to replace it")
 
     refuse_foreign()
     base = os.path.dirname(path)

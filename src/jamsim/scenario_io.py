@@ -134,8 +134,8 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
 
 
 def _file_values(source, section: str) -> dict:
-    """What `source`, a ToneSpec, PipelineConfig or TriggerConfig, holds for file `section`:
-    each setting under its file key and in file units (a tone's frequency in MHz)."""
+    """What `source` (a Scenario, ToneSpec, PipelineConfig or TriggerConfig) holds for file
+    `section`: each setting under its file key and in file units (a tone's frequency in MHz)."""
     return {key: getattr(source, field) / _SCALE[field] if field in _SCALE
             else getattr(source, field) for key, field in _SECTION_KEYS[section].items()}
 

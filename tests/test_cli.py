@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 
 import jamsim.cli as cli
 from jamsim.cli import run_cli
-from jamsim.pipeline import Pipeline, PipelineConfig, Scenario, builtin_scenarios, run_scenario
+from jamsim.pipeline import (MEASURE_SKIP_FRACTION, Pipeline, PipelineConfig, Scenario,
+                             builtin_scenarios, run_scenario)
 from jamsim.scenario_io import _SECTION_KEYS, parse_scenario_file
 from jamsim.signal_core import ToneSpec
 from jamsim.trigger import TriggerConfig
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+#: The runs whose manifests are checked: each built-in and each shipped scenario file.
+SOURCES = {**{f"builtin{i}": ["--builtin", str(i)] for i in range(1, 5)},
+           **{f"input{i}.scn": [str(SCENARIO_DIR / f"input{i}.scn")] for i in range(1, 5)}}
 
 RUN_FILES = {"jammer1.csv", "jammer2.csv", "trigger1.csv", "trigger2.csv",
              "input_spectrum.csv", "manifest.json"}
@@ -82,6 +86,20 @@ class TestRun:
         assert read_manifest(out)["verdicts"] == {"band3": False, "band40": False}
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
+    def test_an_older_jamsim_output_is_replaced(self, tmp_path):
+        # An older jamsim echoed each jammer with its own seed, and the seed outside config.
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "jammer1.csv").write_text("time_s,value_v\n")
+        (out / "manifest.json").write_text(json.dumps({
+            "tool": "jamsim", "version": "0.1.0", "seed": 42,
+            "config": {"n_samples": 4096, "measure_skip_fraction": 0.25,
+                       "jammer3": {"gain": 5.0, "seed": 42}, "jammer40": {"gain": 5.0, "seed": 43}},
+        }))
+        assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == RUN_FILES
+        assert read_manifest(out)["verdicts"] == {"band3": False, "band40": False}
+
     def test_empty_directory_is_filled(self, tmp_path):
         out = tmp_path / "d"
         out.mkdir()
@@ -111,7 +129,7 @@ class TestRun:
         assert run_cli(["run", "--builtin", "4", "--out", str(out)]) == 1
         assert (out / "my_notes.txt").read_text() == "precious\n"
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.name in RUN_FILES} == before
-        assert f"--out {out} exists and is not a jamsim" in capsys.readouterr().err
+        assert f"--out {str(out)!r} ({out}) exists and is not a jamsim" in capsys.readouterr().err
 
     def test_a_directory_named_like_an_output_file_survives(self, tmp_path):
         out = tmp_path / "d"
@@ -135,7 +153,8 @@ class TestRun:
         assert run_cli(["run", "--builtin", "4", "--out", "race"]) == 1
         assert [p.name for p in (tmp_path / "race").iterdir()] == ["user.txt"]
         assert (tmp_path / "race" / "user.txt").read_text() == "mine"
-        assert capsys.readouterr().err.startswith("jamsim: error: --out race exists ")
+        assert capsys.readouterr().err.startswith(
+            f"jamsim: error: --out 'race' ({tmp_path / 'race'}) exists ")
         assert [p.name for p in tmp_path.iterdir()] == ["race"]
 
     def test_regular_file_survives(self, tmp_path):
@@ -146,20 +165,15 @@ class TestRun:
 
 
 def scenario_file_from_manifest(manifest: dict) -> str:
-    """A scenario file of the settings the manifest echoes under the file's keys."""
-    config = manifest["config"]
-    sections = {
-        "sim": {**{k: v for k, v in config.items()
-                   if not isinstance(v, dict) and k != "measure_skip_fraction"},
-                "seed": manifest["seed"]},
-        "jammer": {k: v for k, v in config["jammer3"].items() if k != "seed"},
-        "trigger": {k: v for k, v in config["trigger"].items() if v is not None},
-    }
-    lines = ["[scenario]", f"name = {manifest['scenario']['name']}", "[tones]"]
-    for tone in manifest["scenario"]["tones"]:  # freq_mhz starts a tone
-        lines += [f"{k} = {v!r}" for k, v in {"freq_mhz": tone["freq_mhz"], **tone}.items()]
-    for section, values in sections.items():
-        lines += [f"[{section}]", *(f"{k} = {v!r}" for k, v in values.items())]
+    """A scenario file of the settings the manifest echoes: each section's keys in the
+    file's order (freq_mhz starts a tone), each non-null value under its own key."""
+    scenario, config = manifest["scenario"], manifest["config"]
+    sections = {"scenario": [scenario], "tones": scenario["tones"], "sim": [config],
+                "trigger": [config["trigger"]], "jammer": [config["jammer"]]}
+    lines = []
+    for section, entries in sections.items():
+        lines += [f"[{section}]", *(f"{key} = {values[key]}" for values in entries
+                                    for key in _SECTION_KEYS[section] if values[key] is not None)]
     return "\n".join(lines) + "\n"
 
 
@@ -168,22 +182,28 @@ class TestManifestEcho:
 
     FLAGS = {"seed": 7, "sample_rate": 9e9, "n_samples": 2048}
 
-    @pytest.mark.parametrize("source", [f"builtin{i}" for i in range(1, 5)]
-                             + [f"input{i}.scn" for i in range(1, 5)])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_the_echo_is_a_scenario_file_of_the_run(self, tmp_path, source):
         if source.startswith("builtin"):
-            argv = ["--builtin", source[-1]]
             scenario, config = builtin_scenarios()[int(source[-1]) - 1], PipelineConfig()
         else:
-            argv = [str(SCENARIO_DIR / source)]
             scenario, config = parse_scenario_file((SCENARIO_DIR / source).read_text())
         out = tmp_path / "d"
-        assert run_cli(["run", *argv, "--out", str(out), "--seed", "7", "--fs", "9e9",
+        assert run_cli(["run", *SOURCES[source], "--out", str(out), "--seed", "7", "--fs", "9e9",
                         "--samples", "2048"]) == 0
-        manifest = read_manifest(out)
-        assert manifest["config"]["jammer40"] == {**manifest["config"]["jammer3"], "seed": 8}
-        echoed = parse_scenario_file(scenario_file_from_manifest(manifest))
+        echoed = parse_scenario_file(scenario_file_from_manifest(read_manifest(out)))
         assert echoed == (scenario, replace(config, **self.FLAGS))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_config_is_the_file_sections_each_key_once(self, tmp_path, source):
+        assert run_cli(["run", *SOURCES[source], "--out", str(tmp_path / "d")]) == 0
+        manifest = read_manifest(tmp_path / "d")
+        config = manifest["config"]
+        sections = {k: v.keys() for k, v in config.items() if isinstance(v, dict)}
+        assert config.keys() - sections == _SECTION_KEYS["sim"].keys()
+        assert sections == {s: _SECTION_KEYS[s].keys() for s in ("trigger", "jammer")}
+        assert not {"seed", "jammer3", "jammer40"} & manifest.keys()
+        assert manifest["measure_skip_fraction"] == MEASURE_SKIP_FRACTION
 
     def test_every_setting_off_its_default_is_echoed(self, tmp_path):
         text = "\n".join([
@@ -223,13 +243,13 @@ class TestSeedResolution:
         monkeypatch.setenv("JAMSIM_SEED", "123")
         out = tmp_path / "d"
         assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 0
-        assert read_manifest(out)["seed"] == 123
+        assert read_manifest(out)["config"]["seed"] == 123
 
     def test_flag_beats_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JAMSIM_SEED", "123")
         out = tmp_path / "d"
         assert run_cli(["run", "--builtin", "1", "--out", str(out), "--seed", "5"]) == 0
-        assert read_manifest(out)["seed"] == 5
+        assert read_manifest(out)["config"]["seed"] == 5
 
     def test_file_seed_beats_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JAMSIM_SEED", "123")
@@ -237,7 +257,7 @@ class TestSeedResolution:
         scn.write_text("[tones]\nfreq_mhz = 1200\n\n[sim]\nseed = 9\n")
         out = tmp_path / "d"
         assert run_cli(["run", str(scn), "--out", str(out)]) == 0
-        assert read_manifest(out)["seed"] == 9
+        assert read_manifest(out)["config"]["seed"] == 9
 
     def test_invalid_env_var_is_a_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JAMSIM_SEED", "not-a-number")
@@ -393,8 +413,8 @@ class TestOutSpellings:
         monkeypatch.chdir(tmp_path)
         what = "output directory" if argv[0] == "run" else "response CSV"
         assert run_cli(argv) == 1
-        assert capsys.readouterr().err == (f"jamsim: error: --out {argv[-1]} exists and is not "
-                                           f"a jamsim {what}; refusing to replace it\n")
+        assert capsys.readouterr().err == (f"jamsim: error: --out {argv[-1]!r} ({tmp_path}) exists "
+                                           f"and is not a jamsim {what}; refusing to replace it\n")
         assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
         assert (tmp_path / "notes.txt").read_text() == "mine"
 

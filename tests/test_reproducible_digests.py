@@ -13,7 +13,8 @@ The digests are compared only on a platform with that fingerprint; elsewhere
 the test skips and names what differs.
 
 After a deliberate byte change, regenerate the fixture on the pinned platform:
-``PYTHONPATH=src python tests/test_reproducible_digests.py``.
+``PYTHONPATH=src python tests/test_reproducible_digests.py``.  It prints each
+entry that moved, as the test names them when it fails, before it writes.
 """
 
 import contextlib
@@ -110,6 +111,23 @@ def digests(workdir: Path) -> dict:
     return result
 
 
+def _leaves(tree, name=()) -> dict:
+    """Each value of a nested dict that is not a dict, keyed by the keys on its way."""
+    if not isinstance(tree, dict):
+        return {" / ".join(name): tree}
+    return {path: leaf for key, sub in tree.items()
+            for path, leaf in _leaves(sub, (*name, key)).items()}
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """A line per entry of `old` or `new` whose value differs, with an old -> new prefix of
+    it, then a line with the count of the entries that stayed the same."""
+    old, new = _leaves(old), _leaves(new)
+    lines = [f"{path}: {str(old.get(path, '(none)'))[:12]} -> {str(new.get(path, '(none)'))[:12]}"
+             for path in sorted(old.keys() | new.keys()) if old.get(path) != new.get(path)]
+    return lines + [f"{sum(path in new and new[path] == v for path, v in old.items())} unchanged"]
+
+
 def test_reproducible_output_has_the_pinned_digests(tmp_path, monkeypatch):
     pinned = json.loads(FIXTURE.read_text(encoding="utf-8"))
     here = fingerprint()
@@ -117,12 +135,16 @@ def test_reproducible_output_has_the_pinned_digests(tmp_path, monkeypatch):
     if differs:
         pytest.skip(f"digests pinned on another platform: {', '.join(differs)} differ")
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    assert digests(tmp_path) == pinned["digests"]
+    report = moved(pinned["digests"], digests(tmp_path))
+    if len(report) > 1:
+        pytest.fail("\n".join(["moved digests:", *report]), pytrace=False)
 
 
 if __name__ == "__main__":
     os.environ.pop(SEED_ENV_VAR, None)
     with tempfile.TemporaryDirectory() as tmp:
         fixture = {"fingerprint": fingerprint(), "digests": digests(Path(tmp))}
+    print("\n".join(moved(json.loads(FIXTURE.read_text(encoding="utf-8"))
+                           if FIXTURE.exists() else {}, fixture)))
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -184,7 +184,7 @@ class TestParse:
         assert err.value.line == head.count("\n") + 2
 
     @pytest.mark.parametrize("spelling", ["7", "007", "+7", "1_000", " 12", "0x10", "0o17",
-                                          "0b11", "7.0", "1e3", "seven"])
+                                          "0b11", "7.0", "1e3", "seven", ""])
     @pytest.mark.parametrize("key", ["n_samples", "seed", "filter_order", "envelope_window"])
     def test_an_integer_takes_the_spellings_of_the_seed_flag_and_variable(
             self, monkeypatch, key, spelling):
@@ -205,7 +205,8 @@ class TestParse:
         text = f"[{section}]\n{key} = {spelling}\n"
         parsed = read(lambda: parse_scenario_file(text))
         if not isinstance(flag, int):
-            assert parsed == f"line 2: cannot parse {key} value {spelling.strip()!r}"
+            assert parsed == (f"line 2: cannot parse {key} value {spelling.strip()!r}" if spelling
+                              else f"line 2: empty value for {key!r}")
         elif isinstance(parsed, tuple):
             config = parsed[1].trigger if section == "trigger" else parsed[1]
             assert scenario_io._file_values(config, section)[key] == flag

@@ -70,6 +70,7 @@ class TestEnvelope:
     def test_window_one_is_identity(self):
         buf = SignalBuffer([3.0, 1.0, 4.0, 1.0, 5.0], FS)
         assert envelope(buf, 1) == buf
+        assert (buf == 1.0) is False  # a buffer equals only a buffer
 
     def test_matches_brute_force_trailing_max(self):
         rng = np.random.default_rng(3)
