@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import tempfile
@@ -502,3 +503,13 @@ class TestResponseCommand:
 class TestHelp:
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0
+
+
+class TestLibraryPath:
+    def test_run_cli_and_run_scenario_leave_the_collector_alone(self, tmp_path, capsys):
+        # only the `jamsim` process entry (`cli.main`) freezes the heap, just before it exits
+        enabled = gc.isenabled()
+        assert run_cli(["run", "--builtin", "4", "--out", str(tmp_path / "d")]) == 0
+        run_scenario(Pipeline(PipelineConfig()), builtin_scenarios()[3])
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() == enabled

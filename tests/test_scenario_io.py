@@ -41,6 +41,13 @@ def per_row_timeseries_csv(buffer):
 #: subnormal, the DB floor, the largest finite double, and digits to round.
 AWKWARD_VALUES = [0.0, -0.0, 5e-324, -5e-324, DB_FLOOR, 1.797e308, -1.797e308, 1.0 / 3.0,
                   -2.0e-5, 123456789.5, 9.999999995e-7]
+#: 1000-value columns in which few values repeat, in runs of 1 to 13 that cross block edges.
+_RUNS = np.resize([1, 2, 3, 5, 8, 13], 200)
+REPEATING = {
+    "gate": np.repeat(np.resize([0.0, 5.0], 200), _RUNS)[:1000],
+    "zeros": np.zeros(1000),
+    "signed-zeros": np.repeat(np.resize([0.0, -0.0], 200), _RUNS)[:1000],
+}
 
 
 class TestParse:
@@ -233,16 +240,27 @@ class TestCsvBytes:
     @pytest.mark.parametrize("sample_rate", [10e9, 9e9, 3.0])
     def test_timeseries_matches_the_per_row_formatter(self, tmp_path, block_rows, sample_rate):
         noise = np.random.default_rng(2).normal(scale=3.0, size=1000)
-        for samples in ([], AWKWARD_VALUES, noise):
+        for samples in ([], AWKWARD_VALUES, noise, *REPEATING.values()):
             buf = SignalBuffer(samples, sample_rate)
             path = tmp_path / "t.csv"
             write_timeseries_csv(buf, path)
             assert path.read_bytes() == per_row_timeseries_csv(buf)
+        # a run's series written side by side, as `jamsim run` writes them, and then
+        # another run's at another (n, fs), whose time column must not be the first's
+        written = {}
+        for rate, n in [(sample_rate, 1000), (7.0 * sample_rate, 998)]:
+            buffers = {tmp_path / f"{n}-{name}.csv": SignalBuffer(samples[:n], rate)
+                       for name, samples in {"noise": noise, **REPEATING}.items()}
+            scenario_io._write_timeseries(buffers)
+            written.update(buffers)
+        for path, buf in written.items():
+            assert path.read_bytes() == per_row_timeseries_csv(buf), path.name
 
     def test_spectrum_matches_the_per_row_formatter(self, tmp_path, block_rows):
         spectra = [power_spectrum(SignalBuffer(np.ones(64), 10e9)),  # all bins but DC on the floor
                    power_spectrum(SignalBuffer(np.random.default_rng(4).normal(size=99), 9e9)),
-                   Spectrum(np.arange(len(AWKWARD_VALUES), dtype=float), AWKWARD_VALUES, 1.0)]
+                   Spectrum(np.arange(len(AWKWARD_VALUES), dtype=float), AWKWARD_VALUES, 1.0),
+                   *(Spectrum(np.arange(1000.0), power, 1.0) for power in REPEATING.values())]
         assert np.count_nonzero(spectra[0].power_db == DB_FLOOR) == len(spectra[0]) - 1
         for spec in spectra:
             path = tmp_path / "s.csv"
