@@ -288,16 +288,12 @@ def run_cli(argv=None) -> int:
 def main() -> None:
     """The `jamsim` command: `run_cli` on the process's arguments, then exit with its code.
 
-    Standard output is flushed here, so a verdict that cannot be written fails the command
-    with exit 2 and one `jamsim: i/o error` line; the stream is then pointed at os.devnull,
-    so the interpreter's own flush at exit does not fail again with a traceback.
-
-    `gc.freeze()` then moves every object left to the permanent generation, which the
-    collector passes of interpreter shutdown skip: they would walk the ~21k objects that
-    numpy and jamsim leave tracked, 15-20 ms of a ~140 ms idle run, to free memory the
-    exit frees anyway.  Shutdown still runs atexit handlers and flushes and closes files.
-    `run_cli` does neither: a test, a benchmark or a library caller goes on running in
-    its process, where a frozen heap would keep its garbage from ever being collected.
+    Standard output is flushed here, so a verdict line that cannot be written exits 2 with
+    one `jamsim: i/o error` line; the stream then points at os.devnull, so the flush at
+    exit cannot fail again.  `gc.freeze()` spares shutdown's collector passes the ~21k
+    objects numpy and jamsim leave tracked, 15-20 ms of an idle run; the exit frees them
+    anyway.  `run_cli` does neither: a test, a benchmark or a library caller goes on
+    running in its process, where a frozen heap would never be collected.
     """
     code = run_cli()
     try:

@@ -140,10 +140,10 @@ def _file_values(source, section: str) -> dict:
             else getattr(source, field) for key, field in _SECTION_KEYS[section].items()}
 
 
-#: Rows formatted per write, so a long buffer's CSV body is never held whole in memory;
-#: within a block, each distinct value of a mostly repeating column is formatted once.
-#: A run's four time series share each block's time text, and at 65536 rows that held
-#: more than the writer before it, 5 MB on the peak RSS of a 2**20-sample run.
+#: Rows formatted per write, so a long buffer's CSV body is never held whole in memory.
+#: Within a block, each distinct value of a mostly repeating column is formatted once,
+#: and a run's four series share the block's time text; 65536-row blocks raised the
+#: peak RSS of a 2**20-sample run by ~5 MB.
 _CSV_BLOCK_ROWS = 16384
 #: The header of the CSV that `jamsim response` writes.
 RESPONSE_HEADER = "freq_hz,magnitude_db,phase_rad"
