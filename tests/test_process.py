@@ -51,10 +51,11 @@ class TestEntryPoint:
         assert run_cli(["run", "--builtin", "4", "--out", str(tmp_path / "in"),
                         "--reproducible"]) == 0
         assert done.stdout == capsys.readouterr().out == "band3: JAMMING, band40: JAMMING\n"
-        names = sorted(p.name for p in (tmp_path / "in").iterdir())
-        assert sorted(p.name for p in (tmp_path / "spawned").iterdir()) == names
+        spawned, in_process = tmp_path / "spawned", tmp_path / "in"
+        names = sorted(p.name for p in in_process.iterdir())
+        assert sorted(p.name for p in spawned.iterdir()) == names
         for name in names:
-            assert (tmp_path / "spawned" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+            assert (spawned / name).read_bytes() == (in_process / name).read_bytes(), name
 
     def test_invalid_input_exits_1(self, tmp_path):
         done = run_jamsim("run", "--builtin", "9", "--out", str(tmp_path / "d"))

@@ -41,7 +41,7 @@ def per_row_timeseries_csv(buffer):
 #: subnormal, the DB floor, the largest finite double, and digits to round.
 AWKWARD_VALUES = [0.0, -0.0, 5e-324, -5e-324, DB_FLOOR, 1.797e308, -1.797e308, 1.0 / 3.0,
                   -2.0e-5, 123456789.5, 9.999999995e-7]
-#: 1000-value columns in which few values repeat, in runs of 1 to 13 that cross block edges.
+#: 1000-value columns of few distinct values, in runs of 1 to 13 that cross 3-row block edges.
 _RUNS = np.resize([1, 2, 3, 5, 8, 13], 200)
 REPEATING = {
     "gate": np.repeat(np.resize([0.0, 5.0], 200), _RUNS)[:1000],
