@@ -124,7 +124,7 @@ def _resolve_run(args) -> tuple[Scenario, PipelineConfig]:
         config = PipelineConfig(seed=ambient)
     else:
         try:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
+            with open(args.scenario, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidParameter(f"cannot read scenario file: {exc}") from None

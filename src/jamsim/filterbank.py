@@ -335,7 +335,8 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
     # starts[f, :, k] is the state filter f's block k starts in; block 0 starts at zero.
     starts = np.zeros((n_bank, n_states, n_blocks + 1))
     out = np.empty((n_bank, n_blocks, BLOCK_LEN))
-    scratch = np.empty((2, max(min(span, n_blocks) * BLOCK_LEN, cols * n_states)))  # per half
+    # One scratch per half, each for a product over the whole bank.
+    scratch = np.empty((2, n_bank * max(min(span, n_blocks) * BLOCK_LEN, cols * n_states)))
 
     def end_states(half, lo, hi):  # the state each block alone leaves, pieces lo .. hi-1
         for a in range(lo * span, min(hi * span, n_blocks), span):
@@ -345,16 +346,12 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
     def scans(half, lo, hi):
         # Hillis-Steele scan: after the step with shift, ends[f, :, k] is the state blocks
         # k-2*shift+1 .. k leave at block k's end; right to left, pieces read unchanged states.
-        size = scratch.shape[1] // (n_states * cols)  # filters whose pieces fit together
-        for first in range(lo, hi, size):
-            k = min(size, hi - first)
-            ends, steps = starts[first:first + k, :, 1:], plan.steps[first:first + k]
-            for i, shift in enumerate(shifts):
-                for a in range(shift, n_blocks, cols)[::-1]:
-                    b = min(a + cols, n_blocks)
-                    term = scratch[half, :k * n_states * (b - a)].reshape(k, n_states, b - a)
-                    ends[:, :, a:b] += np.matmul(steps[:, i], ends[:, :, a - shift:b - shift],
-                                                 out=term)
+        k, ends, steps = hi - lo, starts[lo:hi, :, 1:], plan.steps[lo:hi]
+        for i, shift in enumerate(shifts):
+            for a in range(shift, n_blocks, cols)[::-1]:
+                b = min(a + cols, n_blocks)
+                term = scratch[half, :k * n_states * (b - a)].reshape(k, n_states, b - a)
+                ends[:, :, a:b] += np.matmul(steps[:, i], ends[:, :, a - shift:b - shift], out=term)
 
     def outputs(half, lo, hi):  # per piece, a Toeplitz product per group, then the start states
         for a in range(lo * span, min(hi * span, n_blocks), span):
@@ -362,9 +359,9 @@ def _run_bank(plan: _BankPlan, signal: SignalBuffer) -> tuple[SignalBuffer, ...]
             groups = ((b - a) // BLOCK_LEN, BLOCK_LEN, BLOCK_LEN)
             np.matmul(blocks[a:b].reshape(groups), plan.toeplitz_t,
                       out=out[:, a:b].reshape((n_bank,) + groups))
-            for state_out, st, o in zip(plan.state_out, starts, out):
-                term = scratch[half, :(b - a) * BLOCK_LEN].reshape(b - a, BLOCK_LEN)
-                o[a:b] += np.matmul(st[:, a:b].T, state_out.T, out=term)
+            term = scratch[half, :n_bank * (b - a) * BLOCK_LEN].reshape(n_bank, b - a, BLOCK_LEN)
+            out[:, a:b] += np.matmul(starts[:, :, a:b].transpose(0, 2, 1),
+                                     plan.state_out.transpose(0, 2, 1), out=term)
 
     n_pieces = -(-n_blocks // span)
     _in_halves(end_states, 0, n_pieces, n)  # the thread threshold reads the unpadded length

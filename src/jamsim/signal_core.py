@@ -138,10 +138,6 @@ class SignalBuffer:
             return NotImplemented
         return self.sample_rate == other.sample_rate and np.array_equal(self.samples, other.samples)
 
-    def times(self) -> np.ndarray:
-        """Sample instants t_i = i / sample_rate in seconds."""
-        return np.arange(self.samples.size) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class ToneSpec:

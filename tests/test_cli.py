@@ -59,6 +59,16 @@ class TestRun:
         assert run_cli(["run", str(SCENARIO_DIR / "input2.scn"), "--out", str(out)]) == 0
         assert capsys.readouterr().out.strip() == "band3: JAMMING, band40: idle"
 
+    def test_a_scenario_file_with_a_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        plain = SCENARIO_DIR / "input4.scn"
+        marked = tmp_path / "marked.scn"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())  # as Windows editors save it
+        runs = []
+        for source, out in ((plain, tmp_path / "a"), (marked, tmp_path / "b")):
+            assert run_cli(["run", str(source), "--reproducible", "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[1] == runs[0]
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(["run", "--builtin", "2", "--out", str(a), "--seed", "7"]) == 0
@@ -354,6 +364,28 @@ class TestAtomicity:
         assert run_cli(["run", "--builtin", "4", "--out", str(out)]) == 2
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert after == before
+
+    def test_a_failed_final_move_restores_the_previous_output(self, tmp_path, monkeypatch,
+                                                              capsys):
+        out = tmp_path / "d"
+        assert run_cli(["run", "--builtin", "1", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        rename, failed = os.rename, []
+
+        def fail_the_staged_move_once(src, dst):
+            if os.path.basename(src) == "new" and not failed:
+                failed.append(dst)
+                raise OSError("rename failed")
+            return rename(src, dst)
+
+        monkeypatch.setattr(cli.os, "rename", fail_the_staged_move_once)
+        assert run_cli(["run", "--builtin", "4", "--out", str(out)]) == 2
+        assert failed == [str(out)]
+        err = capsys.readouterr().err
+        assert err.startswith("jamsim: i/o error: ") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
     def test_a_failed_run_makes_no_parent_directory(self, tmp_path):
         # The filter design fails at 1e18 S/s (exit 2) inside the run.
