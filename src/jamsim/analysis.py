@@ -43,10 +43,9 @@ def power_spectrum(signal: SignalBuffer) -> Spectrum:
     (Parseval); interior bins carry the doubled one-sided weight.  A bin
     whose power overflows is inf dB, without a warning.
     """
-    n, x = len(signal), signal.samples
+    n, x, peak = len(signal), signal.samples, signal.peak
     if n < 2:
         raise InvalidParameter(f"power_spectrum needs at least 2 samples, got {n}")
-    peak = max(x.max(), -x.min())
     shift = math.frexp(peak / (_FFT_LIMIT / n))[1] if peak > _FFT_LIMIT / n else 0
     spec = np.fft.rfft(x * 2.0 ** -shift if shift else x)  # scaled exactly, and back below
     with np.errstate(over="ignore"):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import json
 import os
 import shutil
@@ -286,14 +285,13 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    """The `jamsim` command: `run_cli` on the process's arguments, then exit with its code.
+    """The `jamsim` command: `run_cli` on the process's arguments, then a hard exit with its code.
 
     Standard output is flushed here, so a verdict line that cannot be written exits 2 with
-    one `jamsim: i/o error` line; the stream then points at os.devnull, so the flush at
-    exit cannot fail again.  `gc.freeze()` spares shutdown's collector passes the ~21k
-    objects numpy and jamsim leave tracked, 15-20 ms of an idle run; the exit frees them
-    anyway.  `run_cli` does neither: a test, a benchmark or a library caller goes on
-    running in its process, where a frozen heap would never be collected.
+    one `jamsim: i/o error` line.  `os._exit` then skips interpreter shutdown, whose collector
+    passes over the objects numpy and jamsim leave tracked took 15-20 ms of an idle run, and
+    whose flush at exit could fail again.  `run_cli` exits nothing: a test, a benchmark or a
+    library caller goes on running in its process.
     """
     code = run_cli()
     try:
@@ -303,9 +301,9 @@ def main() -> None:
         if code == 0:
             print(f"jamsim: i/o error: {exc}", file=sys.stderr)
             code = 2
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    gc.freeze()
-    sys.exit(code)
+    with contextlib.suppress(AttributeError, OSError):  # no stderr, or nowhere left to write
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ jammer 1.  Band 40 (branch 2) is TDD and shares one allocation, so filter 4 feed
 both trigger 2 and jammer 2.  Filter 1 (the full Band 3 span) drives no branch, so
 it is designed but not run: ``apply_filter(pipeline.filters[0], report.input)`` gives it.
 Stages run whole-buffer, one at a time; every stage is causal and
-feed-forward, so this matches sample-interleaved execution exactly.  A
-branch whose detector peak |x| stays at or below the threshold costs one
-peak pass; its report holds the pipeline's shared read-only zeros as its gate and
-jammer, as the paper's circuit generates no output when no band is detected.
+feed-forward, so this matches sample-interleaved execution exactly.  A branch
+whose detector row's `peak` (which the row's finite check found) stays at or below
+the threshold costs no pass of its own; its report holds the pipeline's shared read-only
+zeros as its gate and jammer, as the paper's circuit generates no output when no band is detected.
 """
 
 from __future__ import annotations
@@ -225,10 +225,10 @@ def _settle(gate: GateLine, jammed: SignalBuffer, skip: float) -> tuple[float, b
 def _branch(pipeline: Pipeline, detected: SignalBuffer, jammed: SignalBuffer,
             jammer: JammerConfig) -> BranchReport:
     """Trigger on `detected`, jam `jammed` through its gate, settle both.  The envelope's
-    largest sample is the peak |x|, so a peak at or below the threshold keeps the gate low
+    largest sample is `detected.peak`, so a peak at or below the threshold keeps the gate low
     and the jammer silent: that branch reports the pipeline's idle zeros and runs neither."""
-    cfg, x = pipeline.config, detected.samples
-    if max(x.max(), -x.min()) <= cfg.trigger.threshold:
+    cfg = pipeline.config
+    if detected.peak <= cfg.trigger.threshold:
         return BranchReport(*pipeline._idle, 0.0, True, 0.0)
     gate = trigger_chain(detected, cfg.trigger)
     out = jam(jammed, gate, jammer)

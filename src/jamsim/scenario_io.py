@@ -26,11 +26,11 @@ A scenario file is a line-based key = value document::
     high_v = 5.0
     envelope_window = 6
 
-Blank lines and ``#`` comments are ignored.  Each key appears once per section,
-or per tone, ``name`` included.  Integers are decimal, as ``int()`` reads them and
-as --seed and JAMSIM_SEED take them (``007``, ``1_000``; no ``0x10``, no ``7.0``).
-Unknown sections or keys and repeated keys fail fast, and out-of-range values
-once the file is read, with the key's line number.
+Blank lines and ``#`` comments are ignored; section names and keys are read in any case.
+Each key appears once per section, or per tone, ``name`` included, whatever its case.
+Integers are decimal, as ``int()`` reads them and as --seed and JAMSIM_SEED take them
+(``007``, ``1_000``; no ``0x10``, no ``7.0``).  Unknown sections or keys and repeated keys
+fail fast, and out-of-range values once the file is read, with the key's line number.
 The [sim] seed feeds the Band 3 jammer; the Band 40 jammer takes seed+1.
 """
 
@@ -98,6 +98,7 @@ def parse_scenario_file(text: str, default_seed: int = DEFAULT_SEED
         if section is None:
             raise ParseError("key appears before any [section] header", lineno)
         key, _, value = (part.strip() for part in line.partition("="))
+        key = key.lower()  # as a section name is read
         if key not in _SECTION_KEYS[section]:
             raise ParseError(f"unknown key {key!r} in section [{section}]", lineno)
         if not value:

@@ -15,7 +15,7 @@ import numbers
 import operator
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -113,30 +113,36 @@ def _in_halves(work, lo: int, hi: int, samples: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SignalBuffer:
-    """Uniformly sampled real voltages (volts) at `sample_rate` (Hz)."""
+    """Uniformly sampled real voltages (volts) at `sample_rate` (Hz), and their `peak` |x|."""
 
     samples: np.ndarray
     sample_rate: float
+    #: The largest |x|, 0.0 if empty: the buffer's one scan, which also checks finiteness.
+    peak: float = field(init=False, repr=False)
 
     def __post_init__(self):
         rate = check_number(self.sample_rate, "sample_rate", 0.0, above=True)
         arr = _as_readonly_f64(self.samples, "samples")
-        self._check_samples(arr)
+        peak = float(max(arr.max(), -arr.min())) if arr.size else 0.0  # NaN or inf if any is
+        self._check_samples(arr, peak)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", rate)
+        object.__setattr__(self, "peak", peak)
 
-    def _check_samples(self, samples: np.ndarray) -> None:
+    def _check_samples(self, samples: np.ndarray, peak: float) -> None:
         """InvalidParameter naming samples unless all are finite (a subclass may allow fewer)."""
-        if samples.size and not np.isfinite(samples).all():
+        if not math.isfinite(peak):
             raise InvalidParameter("samples must all be finite", "samples")
 
     def __len__(self) -> int:
         return self.samples.size
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SignalBuffer):
+        """Same type and every field equal, the samples element by element."""
+        if type(other) is not type(self):
             return NotImplemented
-        return self.sample_rate == other.sample_rate and np.array_equal(self.samples, other.samples)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,8 @@ class GateLine(SignalBuffer):
 
     high_level: float = DEFAULT_HIGH_LEVEL
 
-    def _check_samples(self, samples: np.ndarray) -> None:
-        """Check high_level, then in one pass that each sample is 0 or high_level, so finite."""
+    def _check_samples(self, samples: np.ndarray, peak: float) -> None:
+        """Check high_level, then that each sample is 0 or high_level, so finite, as `peak` is."""
         check_field(self, "high_level")
         if not ((samples == 0.0) | (samples == self.high_level)).all():
             raise InvalidParameter("gate levels must be exactly 0 or high_level", "samples")

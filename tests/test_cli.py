@@ -539,7 +539,7 @@ class TestHelp:
 
 class TestLibraryPath:
     def test_run_cli_and_run_scenario_leave_the_collector_alone(self, tmp_path, capsys):
-        # only the `jamsim` process entry (`cli.main`) freezes the heap, just before it exits
+        # only the `jamsim` process entry (`cli.main`) ends its process, with no shutdown
         enabled = gc.isenabled()
         assert run_cli(["run", "--builtin", "4", "--out", str(tmp_path / "d")]) == 0
         run_scenario(Pipeline(PipelineConfig()), builtin_scenarios()[3])

@@ -260,7 +260,24 @@ class TestSettledJammerRms:
 
 
 class TestIdleBranch:
-    """A branch whose detector peak stays at or below the threshold costs one peak pass."""
+    """A branch whose detector row's `peak` stays at or below the threshold costs no pass of
+    its own: the row's finite check found that peak."""
+
+    def test_the_decision_reads_the_rows_peak(self, pipeline):
+        cfg = pipeline.config
+        quiet = SignalBuffer(np.zeros(cfg.n_samples), cfg.sample_rate)
+        object.__setattr__(quiet, "peak", 2.0 * cfg.trigger.threshold)  # says it is loud
+        branch = _branch(pipeline, quiet, quiet, cfg.jammer3)
+        assert branch.gate is not pipeline._idle[0]
+        assert branch.gate == trigger_chain(quiet, cfg.trigger)
+
+    def test_idle_reports_of_gates_with_other_high_levels_differ(self):
+        scenario = builtin_scenarios()[0]  # input1: both branches idle
+        low = run_scenario(build_pipeline(PipelineConfig(trigger=TriggerConfig(high_level=3.0))),
+                           scenario)
+        default = run_scenario(build_pipeline(PipelineConfig()), scenario)
+        assert low.verdicts == default.verdicts == {"band3": False, "band40": False}
+        assert low.branches != default.branches
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("above", [False, True])

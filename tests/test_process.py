@@ -71,6 +71,14 @@ class TestEntryPoint:
         assert done.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_the_command_ends_without_interpreter_shutdown(self):
+        code = ("import atexit, sys, jamsim.cli; atexit.register(print, 'shut down'); "
+                "sys.argv[1:] = ['scenarios']; jamsim.cli.main()")
+        done = subprocess.run([sys.executable, "-c", code], env=process_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "input1" in done.stdout and "shut down" not in done.stdout
+
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     def test_an_unwritable_verdict_exits_2_with_one_message(self, tmp_path, unbuffered):
         child = subprocess.Popen(

@@ -50,6 +50,35 @@ REPEATING = {
 }
 
 
+#: A scenario file that sets every key.
+EVERY_KEY = """
+[scenario]
+name = custom
+
+[tones]
+freq_mhz = 1747.5
+amplitude_v = 1.5
+phase_rad = 0.25
+freq_mhz = 2355
+
+[sim]
+sample_rate_hz = 12e9
+n_samples = 8192
+seed = 9
+filter_order = 4
+
+[jammer]
+gain = 3.5
+gaussian_sigma_v = 0.5
+rayleigh_sigma_v = 0.25
+
+[trigger]
+threshold_v = 0.8
+high_v = 4.0
+envelope_window = 9
+"""
+
+
 class TestParse:
     def test_minimal_file_takes_all_defaults(self):
         scenario, config = parse_scenario_file("[tones]\nfreq_mhz = 1747.5\n")
@@ -69,34 +98,7 @@ class TestParse:
         assert all(t.amplitude == 2.0 for t in scenario.tones)
 
     def test_every_section_is_honoured(self):
-        text = """
-        [scenario]
-        name = custom
-
-        [tones]
-        freq_mhz = 1747.5
-        amplitude_v = 1.5
-        phase_rad = 0.25
-        freq_mhz = 2355
-
-        [sim]
-        sample_rate_hz = 12e9
-        n_samples = 8192
-        seed = 9
-        filter_order = 4
-
-        [jammer]
-        gain = 3.5
-        gaussian_sigma_v = 0.5
-        rayleigh_sigma_v = 0.25
-
-        [trigger]
-        threshold_v = 0.8
-        high_v = 4.0
-        envelope_window = 9
-        """
-        scenario, config = parse_scenario_file("\n".join(
-            line.strip() for line in text.splitlines()))
+        scenario, config = parse_scenario_file(EVERY_KEY)
         assert scenario.name == "custom"
         assert scenario.tones[0] == ToneSpec(1747.5e6, 1.5, 0.25)
         assert scenario.tones[1] == ToneSpec(2355e6, 2.0, 0.0)
@@ -173,6 +175,19 @@ class TestParse:
     def test_duplicate_tone_attribute_rejected(self):
         with pytest.raises(ParseError, match="duplicate key"):
             parse_scenario_file("[tones]\nfreq_mhz = 1200\namplitude_v = 2\namplitude_v = 3\n")
+
+    @pytest.mark.parametrize("section,key", [(section, key) for section, keys in
+                                             scenario_io._SECTION_KEYS.items() for key in keys])
+    def test_every_key_reads_in_upper_case_as_in_lower_case(self, section, key):
+        upper = re.sub(rf"^(\[{section}\]|{key} =)", lambda m: m.group().upper(), EVERY_KEY,
+                       flags=re.M)  # the key's section header too: [SIM] with SEED = 9
+        assert f"[{section.upper()}]" in upper and f"\n{key.upper()} =" in upper
+        assert parse_scenario_file(upper) == parse_scenario_file(EVERY_KEY)
+
+    def test_a_key_repeated_in_another_case_is_a_duplicate(self):
+        with pytest.raises(ParseError, match="duplicate key 'seed'") as err:
+            parse_scenario_file("[sim]\nseed = 1\nSEED = 2\n")
+        assert err.value.line == 3
 
     def test_duplicate_sim_key_rejected(self):
         with pytest.raises(ParseError, match="duplicate key"):

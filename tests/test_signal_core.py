@@ -1,14 +1,23 @@
+import warnings
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jamsim.errors import InvalidParameter
 from jamsim.rng import gaussian_stream, rayleigh_stream
 from jamsim.signal_core import NoiseSpec, SignalBuffer, ToneSpec, multi_tone
+from jamsim.trigger import GateLine
 
 FS = 10e9
 N = 4096
+
+#: Finite floats of every size, with signed zeros, subnormals and +-1e300 drawn often.
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]))
 
 
 def spectral_peak_bins(buffer, magnitude_over_median=30.0):
@@ -42,6 +51,58 @@ class TestSignalBuffer:
         buf = SignalBuffer([1.0, 2.0], FS)
         with pytest.raises(ValueError):
             buf.samples[0] = 9.0
+
+
+class TestPeak:
+    @given(hnp.arrays(np.float64, st.integers(1, 64), elements=finite_floats))
+    def test_the_peak_is_the_largest_magnitude(self, x):
+        assert SignalBuffer(x, FS).peak == np.abs(x).max()
+
+    @given(hnp.arrays(np.bool_, st.integers(1, 64)), finite_floats)
+    def test_a_gates_peak_is_the_largest_magnitude(self, high, level):
+        x = np.where(high, level, 0.0)
+        assert GateLine(x, FS, level).peak == np.abs(x).max()
+
+    def test_an_empty_buffer_peaks_at_zero(self):
+        assert SignalBuffer([], FS).peak == 0.0
+        assert GateLine([], FS).peak == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 3, -1])
+    def test_a_non_finite_sample_anywhere_is_refused_without_a_warning(self, bad, at):
+        x = np.array([1e300, -0.0, -1e300, 5e-324, 2.0])
+        x[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="^samples must all be finite$") as err:
+                SignalBuffer(x, FS)
+        assert err.value.fields == ("samples",)
+
+    def test_replace_recomputes_the_peak(self):
+        buf = SignalBuffer([1.0, -2.0], FS)
+        assert replace(buf, samples=[0.5, -4.0]).peak == 4.0
+        assert replace(buf, sample_rate=1.0).peak == 2.0
+        assert replace(GateLine([0.0, 5.0], FS), samples=[0.0, 0.0]).peak == 0.0
+
+    def test_the_peak_is_read_only(self):
+        buf = SignalBuffer([1.0, -2.0], FS)
+        with pytest.raises(FrozenInstanceError):
+            buf.peak = 9.0
+        with pytest.raises(ValueError, match="init=False"):
+            replace(buf, peak=9.0)
+        assert "peak" not in repr(buf)
+
+
+class TestEquality:
+    def test_a_gate_is_not_a_plain_buffer(self):
+        zeros = np.zeros(8)
+        assert GateLine(zeros, FS) != SignalBuffer(zeros, FS)
+        assert SignalBuffer(zeros, FS) != GateLine(zeros, FS)
+
+    def test_gates_differing_only_in_high_level_differ(self):
+        zeros = np.zeros(8)
+        assert GateLine(zeros, FS, 5.0) != GateLine(zeros, FS, 3.0)
+        assert GateLine(zeros, FS, 5.0) == GateLine(zeros.copy(), FS, 5.0)
 
 
 class TestMultiTone:
